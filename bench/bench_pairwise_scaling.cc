@@ -2,8 +2,11 @@
 // DESIGN.md "Sketch-first pruning").
 //
 // Exact-provenance pairwise top-k and overview served two ways over the SAME
-// engine and profile:
-//   exhaustive — every candidate pair evaluated with the exact Pearson kernel;
+// table:
+//   exhaustive — every candidate pair evaluated with the exact Pearson kernel
+//                (top-k on a second engine built without a sketch profile,
+//                which has nothing to prune with; the overview with
+//                refine_min_score = 0);
 //   pruned     — signature estimates + Hoeffding bounds discard pairs that
 //                provably cannot reach the top-k threshold (or the overview's
 //                refine_min_score); only the survivors are refined exactly.
@@ -134,6 +137,18 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
                  engine.status().ToString().c_str());
     return m;
   }
+  // The exhaustive reference: without a sketch profile there are no
+  // signatures to plan with, so every candidate pair is evaluated exactly.
+  EngineOptions exhaustive_options;
+  exhaustive_options.build_profile = false;
+  exhaustive_options.num_workers = 1;
+  auto exhaustive_engine =
+      InsightEngine::Create(table, std::move(exhaustive_options));
+  if (!exhaustive_engine.ok()) {
+    std::fprintf(stderr, "exhaustive engine creation failed (%s): %s\n",
+                 w.label, exhaustive_engine.status().ToString().c_str());
+    return m;
+  }
 
   InsightQuery query;
   query.class_name = "linear_relationship";
@@ -141,20 +156,19 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
   query.mode = ExecutionMode::kExact;
   query.top_k = kTopK;
 
-  // Best-of-reps timed execution of `query` with pruning toggled.
-  auto run_topk = [&](bool pruning,
+  // Best-of-reps timed execution of `query` on `target` (`path` labels
+  // failures).
+  auto run_topk = [&](const InsightEngine& target, const char* path,
                       double* best_ms) -> std::optional<InsightQueryResult> {
-    engine->set_pairwise_pruning(pruning);
     *best_ms = 1e100;
     std::optional<InsightQueryResult> last;
     for (int rep = 0; rep < w.reps; ++rep) {
       timer.Restart();
-      auto result = engine->Execute(query);
+      auto result = target.Execute(query);
       double elapsed = timer.ElapsedMillis();
       if (!result.ok()) {
-        std::fprintf(stderr, "top-k query failed (%s, pruning=%d): %s\n",
-                     w.label, pruning ? 1 : 0,
-                     result.status().ToString().c_str());
+        std::fprintf(stderr, "%s top-k query failed (%s): %s\n", path,
+                     w.label, result.status().ToString().c_str());
         return std::nullopt;
       }
       *best_ms = std::min(*best_ms, elapsed);
@@ -189,8 +203,9 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
     return last;
   };
 
-  auto exhaustive = run_topk(/*pruning=*/false, &m.exhaustive_topk_ms);
-  auto pruned = run_topk(/*pruning=*/true, &m.pruned_topk_ms);
+  auto exhaustive =
+      run_topk(*exhaustive_engine, "exhaustive", &m.exhaustive_topk_ms);
+  auto pruned = run_topk(*engine, "pruned", &m.pruned_topk_ms);
   if (!exhaustive || !pruned) return m;
   m.topk_telemetry = pruned->prune;
   if (!SameRanking(*exhaustive, *pruned)) {
@@ -204,7 +219,6 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
                 w.label);
   }
 
-  engine->set_pairwise_pruning(true);
   auto exact_overview = run_overview(ExecutionMode::kExact, /*threshold=*/0.0,
                                      &m.exhaustive_overview_ms);
   auto pruned_overview = run_overview(ExecutionMode::kExact,
@@ -249,7 +263,7 @@ Measured MeasureWorkload(const Workload& w, bool parallel_probe) {
     WarnIfOversubscribed(kParallelWorkers);
     engine->set_num_workers(kParallelWorkers);
     double parallel_ms = 0.0;
-    auto parallel = run_topk(/*pruning=*/true, &parallel_ms);
+    auto parallel = run_topk(*engine, "parallel pruned", &parallel_ms);
     if (!parallel) return m;
     m.parallel_pruned_topk_ms = parallel_ms;
     if (!SameRanking(*exhaustive, *parallel)) {

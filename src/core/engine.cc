@@ -199,7 +199,6 @@ StatusOr<InsightEngine> InsightEngine::Create(const DataTable& table,
                                       ? std::move(*options.registry)
                                       : InsightClassRegistry::CreateDefault();
   InsightEngine engine(table, std::move(registry));
-  engine.pairwise_pruning_.store(options.enable_pairwise_pruning);
   if (options.collect_metrics) {
     engine.metrics_ = std::make_shared<MetricsRegistry>();
   }
@@ -228,14 +227,6 @@ void InsightEngine::set_num_workers(size_t workers) {
   engine_epoch_.fetch_add(1);
 }
 
-void InsightEngine::set_pairwise_pruning(bool enabled) {
-  if (enabled == pairwise_pruning_.load()) return;
-  pairwise_pruning_.store(enabled);
-  // Ranked output is provably identical with pruning on or off, but cached
-  // telemetry (prune counts, provenance of overview cells) is not.
-  engine_epoch_.fetch_add(1);
-}
-
 uint64_t InsightEngine::serving_epoch() const {
   return engine_epoch_.load() + table_->schema().version();
 }
@@ -250,7 +241,6 @@ StatusOr<InsightEngine> InsightEngine::CreateFromProfile(
                                       ? std::move(*options.registry)
                                       : InsightClassRegistry::CreateDefault();
   InsightEngine engine(table, std::move(resolved));
-  engine.pairwise_pruning_.store(options.enable_pairwise_pruning);
   if (options.collect_metrics) {
     engine.metrics_ = std::make_shared<MetricsRegistry>();
   }
@@ -401,8 +391,7 @@ Status InsightEngine::EvaluateCandidates(
 bool InsightEngine::PruneEligible(const InsightQuery& query,
                                   const ResolvedQuery& resolved,
                                   size_t num_candidates) const {
-  return pairwise_pruning_.load() && profile_.has_value() &&
-         resolved.mode == ExecutionMode::kExact &&
+  return profile_.has_value() && resolved.mode == ExecutionMode::kExact &&
          resolved.insight_class->arity() == 2 &&
          // An upper score filter breaks the top-k threshold argument: with
          // strong pairs filtered OUT by max_score, a pair below the sketch
@@ -807,8 +796,7 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
   // Diagonal and null/constant-touched cells are unsafe by contract and
   // always refine. A single full-precision round (coarse_bits = 0) plans the
   // whole triangle, so pruned cells carry full-k estimates.
-  const bool prune = pairwise_pruning_.load() &&
-                     options.refine_min_score > 0.0 &&
+  const bool prune = options.refine_min_score > 0.0 &&
                      profile_.has_value() &&
                      resolved_mode == ExecutionMode::kExact &&
                      insight_class->SupportsSketchPruning(*profile_,

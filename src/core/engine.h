@@ -39,11 +39,6 @@ struct EngineOptions {
   /// std::thread::hardware_concurrency(), 1 = serial. Results are
   /// bit-identical to serial execution regardless of worker count.
   size_t num_workers = 0;
-  /// Enable the sketch-first prune planner for eligible exact-mode pairwise
-  /// queries (DESIGN.md "Sketch-first pruning"). Ranked output is provably
-  /// identical either way; disabling only forces exhaustive exact
-  /// evaluation. Toggle later via set_pairwise_pruning().
-  bool enable_pairwise_pruning = true;
 };
 
 /// Outcome of InsightEngine::AppendPartition.
@@ -132,10 +127,10 @@ class InsightEngine {
   /// restored via Preprocessor::LoadProfile or a binary snapshot), skipping
   /// preprocessing. The profile must have been built from (or loaded against)
   /// the same table. `options.build_profile`/`options.preprocess` are ignored
-  /// (the adopted profile takes their place); registry, metrics, worker
-  /// count, and pruning apply exactly as in Create() — so a multi-dataset
-  /// registry can attach hundreds of engines without each one spinning up a
-  /// hardware-sized thread pool.
+  /// (the adopted profile takes their place); registry, metrics, and worker
+  /// count apply exactly as in Create() — so a multi-dataset registry can
+  /// attach hundreds of engines without each one spinning up a hardware-sized
+  /// thread pool.
   static StatusOr<InsightEngine> CreateFromProfile(const DataTable& table,
                                                    TableProfile profile,
                                                    EngineOptions options = {});
@@ -230,12 +225,6 @@ class InsightEngine {
       const std::string& class_name,
       const PairwiseOverviewOptions& options = {}) const;
 
-  /// Whether the sketch-first prune planner may serve eligible exact-mode
-  /// pairwise queries. Toggling bumps the serving epoch (results are
-  /// identical, but cached telemetry is not).
-  bool pairwise_pruning() const { return pairwise_pruning_.load(); }
-  void set_pairwise_pruning(bool enabled);
-
   /// Resolved worker-thread count used by every parallel path (>= 1).
   size_t num_workers() const { return num_workers_; }
   /// Resizes the engine's thread pool; 0 = hardware_concurrency. Bumps the
@@ -284,10 +273,10 @@ class InsightEngine {
                             std::vector<double>* raw_values) const;
 
   /// True when `query`/`resolved` qualify for the sketch-first prune planner:
-  /// pruning enabled, profile present, exact mode, an arity-2 class that
-  /// supports bounded estimation for the metric, no max_score (an upper
-  /// score filter breaks the top-k threshold argument — see DESIGN.md), and
-  /// more candidates than top_k.
+  /// profile present, exact mode, an arity-2 class that supports bounded
+  /// estimation for the metric, no max_score (an upper score filter breaks
+  /// the top-k threshold argument — see DESIGN.md), and more candidates than
+  /// top_k.
   bool PruneEligible(const InsightQuery& query, const ResolvedQuery& resolved,
                      size_t num_candidates) const;
 
@@ -331,10 +320,6 @@ class InsightEngine {
   /// reuses them for delta ingestion and for the full-rebuild fallback.
   PreprocessOptions preprocess_options_;
   size_t num_workers_ = 1;
-  /// Read by every serving thread (PruneEligible) while an administrative
-  /// thread may toggle it; RelaxedAtomic keeps the flag racy-read-free while
-  /// preserving the engine's defaulted move operations.
-  RelaxedAtomic<bool> pairwise_pruning_{true};
   std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<MetricsRegistry> metrics_;
   /// Engine-local slice of the serving epoch (registry/worker mutations); the

@@ -18,11 +18,9 @@ namespace foresight {
 
 namespace {
 
-/// Splits `items` into one contiguous block per pool thread. Used for the
-/// numeric sketching passes, where each block re-generates the per-row
-/// hyperplane/projection components: fewer, larger blocks keep that
-/// regeneration overhead at (threads / columns) of the serial cost instead
-/// of once per column.
+/// Splits `items` into one contiguous block per pool thread. For the numeric
+/// column blocks, fewer and wider blocks mean fewer panel acquisitions per
+/// partition and fuller four-column groups for the grouped kernel.
 size_t BlockGrain(size_t items, const ThreadPool* pool) {
   size_t threads = pool == nullptr ? 1 : pool->num_threads();
   return std::max<size_t>(1, (items + threads - 1) / threads);
@@ -113,20 +111,18 @@ struct ColumnSketchSet {
 /// Work is tiled as (partition x column-block); each tile sweeps its
 /// partition's rows in ascending order, so every column's sketches consume
 /// their rows in the same order no matter how tiles are scheduled — the
-/// result is bit-identical across worker counts, ingest modes, and panel
-/// block sizes for a fixed `ranges`.
+/// result is bit-identical across worker counts and panel block sizes for a
+/// fixed `ranges`, and equal to BundleBuilder::AccumulateNumeric run per
+/// range and merged in range order (the oracle in test_kernel_equivalence).
 ///
-/// kPanelBlocked: the per-row random components are materialized once per
-/// row block in a RandomPanelCache shared by all columns and partitions,
-/// and tiles consume the cached panels through dense blocked kernels.
-/// Partitions are swept p-major with grain 1, so concurrent workers stay on
-/// the same partition's row range and share the same resident panel blocks.
-/// Columns with zero nulls additionally share the ones-side accumulation
-/// (it depends only on the row set): the column-block-0 tile accumulates it
-/// once per partition and it is copied into every fully-valid column.
-///
-/// kRowAtATime: each tile regenerates the components row by row (the
-/// pre-panel behavior), kept as the reference and benchmark baseline.
+/// The per-row random components are materialized once per row block in a
+/// RandomPanelCache shared by all columns and partitions, and tiles consume
+/// the cached panels through dense blocked kernels. Partitions are swept
+/// p-major with grain 1, so concurrent workers stay on the same partition's
+/// row range and share the same resident panel blocks. Columns with zero
+/// nulls additionally share the ones-side accumulation (it depends only on
+/// the row set): the column-block-0 tile accumulates it once per partition
+/// and it is copied into every fully-valid column.
 ColumnSketchSet BuildColumnSketches(const DataTable& table,
                                     const BundleBuilder& builder,
                                     const std::vector<size_t>& numeric_cols,
@@ -163,131 +159,98 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
     std::vector<NumericColumnSketch>& target =
         parts == 1 ? result.numeric : partials;
 
-    if (options.ingest == IngestMode::kPanelBlocked) {
-      // Auto block size: 256 rows keeps a 256-bit-hyperplane panel around
-      // half a megabyte — resident in L2 while all columns sweep it.
-      size_t block_rows =
-          options.panel_block_rows > 0 ? options.panel_block_rows : 256;
-      RandomPanelCache cache(builder.hyperplane_sketcher(),
-                             builder.projection_sketcher(), n, block_rows);
-      // Every tile of partition p acquires each panel block overlapping p's
-      // rows exactly once; plan those uses so blocks free as tiles drain.
-      std::vector<int64_t> uses(cache.num_blocks(), 0);
-      for (size_t p = 0; p < parts; ++p) {
-        auto [row_begin, row_end] = ranges[p];
-        if (row_begin >= row_end) continue;
-        for (size_t b = cache.block_of_row(row_begin);
-             b <= cache.block_of_row(row_end - 1); ++b) {
-          uses[b] += static_cast<int64_t>(num_cb);
-        }
-      }
-      cache.PlanUses(std::move(uses));
-      bool has_fully_valid = false;
-      for (const NumericColumn* column : numeric_ptrs) {
-        if (column->null_count() == 0) has_fully_valid = true;
-      }
-      std::vector<SharedOnes> shared_ones(parts);
-      auto run_tiles = [&](size_t tile_begin, size_t tile_end) {
-        IngestScratch scratch;
-        std::vector<const NumericColumn*> group_columns;
-        std::vector<NumericColumnSketch*> group_sketches;
-        std::vector<size_t> null_cols;
-        for (size_t t = tile_begin; t < tile_end; ++t) {
-          size_t p = t / num_cb;
-          size_t cb = t % num_cb;
-          size_t col_begin = cb * col_grain;
-          size_t col_end = std::min(n_num, col_begin + col_grain);
-          auto [row_begin, row_end] = ranges[p];
-          if (row_begin >= row_end) continue;
-          size_t offset = parts == 1 ? 0 : p * n_num;
-          bool ones_rider = cb == 0 && has_fully_valid;
-          // Fully-valid columns sweep each panel slab as a group (slab hot
-          // in L1 across four column streams); null-bearing columns keep the
-          // per-column compaction path. Column order across the split is
-          // irrelevant: every sketch's accumulation sequence is unchanged.
-          group_columns.clear();
-          group_sketches.clear();
-          null_cols.clear();
-          for (size_t i = col_begin; i < col_end; ++i) {
-            if (numeric_ptrs[i]->null_count() == 0) {
-              group_columns.push_back(numeric_ptrs[i]);
-              group_sketches.push_back(&target[offset + i]);
-            } else {
-              null_cols.push_back(i);
-            }
-          }
-          for (size_t b = cache.block_of_row(row_begin);
-               b <= cache.block_of_row(row_end - 1); ++b) {
-            std::shared_ptr<const RandomPanelBlock> panel = cache.Acquire(b);
-            size_t rb = std::max(row_begin, cache.block_begin(b));
-            size_t re = std::min(row_end, cache.block_end(b));
-            builder.AccumulateNumericBlockedGroup(
-                group_columns.data(), group_sketches.data(),
-                group_columns.size(), *panel, rb, re);
-            for (size_t i : null_cols) {
-              builder.AccumulateNumericBlocked(*numeric_ptrs[i], *panel, rb,
-                                               re, target[offset + i], scratch,
-                                               /*skip_ones=*/false);
-            }
-            if (ones_rider) {
-              builder.AccumulateSharedOnes(*panel, rb, re, shared_ones[p]);
-            }
-            cache.Release(b);
-          }
-        }
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(0, parts * num_cb, 1, run_tiles);
-      } else {
-        run_tiles(0, parts * num_cb);
-      }
-      // Install the shared ones totals into every fully-valid column's
-      // (partial) sketch — bit-identical to self-accumulation, and done
-      // before merging so partials carry complete accumulators.
-      for (size_t p = 0; p < parts; ++p) {
-        auto [row_begin, row_end] = ranges[p];
-        if (row_begin >= row_end || !has_fully_valid) continue;
-        size_t offset = parts == 1 ? 0 : p * n_num;
-        for (size_t i = 0; i < n_num; ++i) {
-          if (numeric_ptrs[i]->null_count() != 0) continue;
-          builder.ApplySharedOnes(shared_ones[p], target[offset + i]);
-        }
-      }
-      // The cache dies with this scope; snapshot its telemetry so the
-      // engine can surface panel hit/regeneration counts later.
-      result.panel_stats = cache.stats();
-    } else {
-      auto run_tiles = [&](size_t tile_begin, size_t tile_end) {
-        IngestScratch scratch;
-        for (size_t t = tile_begin; t < tile_end; ++t) {
-          size_t p = t / num_cb;
-          size_t cb = t % num_cb;
-          size_t col_begin = cb * col_grain;
-          size_t col_end = std::min(n_num, col_begin + col_grain);
-          auto [row_begin, row_end] = ranges[p];
-          size_t offset = parts == 1 ? 0 : p * n_num;
-          for (size_t row = row_begin; row < row_end; ++row) {
-            builder.hyperplane_sketcher().GenerateRowHyperplanes(
-                row, scratch.hyperplane_row);
-            builder.projection_sketcher().GenerateRowComponents(
-                row, scratch.projection_row);
-            for (size_t i = col_begin; i < col_end; ++i) {
-              const NumericColumn& column = *numeric_ptrs[i];
-              if (!column.is_valid(row)) continue;
-              builder.AccumulateRowValue(column.value(row),
-                                         scratch.hyperplane_row,
-                                         scratch.projection_row,
-                                         target[offset + i]);
-            }
-          }
-        }
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(0, parts * num_cb, 1, run_tiles);
-      } else {
-        run_tiles(0, parts * num_cb);
+    // Auto block size: 256 rows keeps a 256-bit-hyperplane panel around
+    // half a megabyte — resident in L2 while all columns sweep it.
+    size_t block_rows =
+        options.panel_block_rows > 0 ? options.panel_block_rows : 256;
+    RandomPanelCache cache(builder.hyperplane_sketcher(),
+                           builder.projection_sketcher(), n, block_rows);
+    // Every tile of partition p acquires each panel block overlapping p's
+    // rows exactly once; plan those uses so blocks free as tiles drain.
+    std::vector<int64_t> uses(cache.num_blocks(), 0);
+    for (size_t p = 0; p < parts; ++p) {
+      auto [row_begin, row_end] = ranges[p];
+      if (row_begin >= row_end) continue;
+      for (size_t b = cache.block_of_row(row_begin);
+           b <= cache.block_of_row(row_end - 1); ++b) {
+        uses[b] += static_cast<int64_t>(num_cb);
       }
     }
+    cache.PlanUses(std::move(uses));
+    bool has_fully_valid = false;
+    for (const NumericColumn* column : numeric_ptrs) {
+      if (column->null_count() == 0) has_fully_valid = true;
+    }
+    std::vector<SharedOnes> shared_ones(parts);
+    auto run_tiles = [&](size_t tile_begin, size_t tile_end) {
+      IngestScratch scratch;
+      std::vector<const NumericColumn*> group_columns;
+      std::vector<NumericColumnSketch*> group_sketches;
+      std::vector<size_t> null_cols;
+      for (size_t t = tile_begin; t < tile_end; ++t) {
+        size_t p = t / num_cb;
+        size_t cb = t % num_cb;
+        size_t col_begin = cb * col_grain;
+        size_t col_end = std::min(n_num, col_begin + col_grain);
+        auto [row_begin, row_end] = ranges[p];
+        if (row_begin >= row_end) continue;
+        size_t offset = parts == 1 ? 0 : p * n_num;
+        bool ones_rider = cb == 0 && has_fully_valid;
+        // Fully-valid columns sweep each panel slab as a group (slab hot
+        // in L1 across four column streams); null-bearing columns keep the
+        // per-column compaction path. Column order across the split is
+        // irrelevant: every sketch's accumulation sequence is unchanged.
+        group_columns.clear();
+        group_sketches.clear();
+        null_cols.clear();
+        for (size_t i = col_begin; i < col_end; ++i) {
+          if (numeric_ptrs[i]->null_count() == 0) {
+            group_columns.push_back(numeric_ptrs[i]);
+            group_sketches.push_back(&target[offset + i]);
+          } else {
+            null_cols.push_back(i);
+          }
+        }
+        for (size_t b = cache.block_of_row(row_begin);
+             b <= cache.block_of_row(row_end - 1); ++b) {
+          std::shared_ptr<const RandomPanelBlock> panel = cache.Acquire(b);
+          size_t rb = std::max(row_begin, cache.block_begin(b));
+          size_t re = std::min(row_end, cache.block_end(b));
+          builder.AccumulateNumericBlockedGroup(
+              group_columns.data(), group_sketches.data(),
+              group_columns.size(), *panel, rb, re);
+          for (size_t i : null_cols) {
+            builder.AccumulateNumericBlocked(*numeric_ptrs[i], *panel, rb,
+                                             re, target[offset + i], scratch,
+                                             /*skip_ones=*/false);
+          }
+          if (ones_rider) {
+            builder.AccumulateSharedOnes(*panel, rb, re, shared_ones[p]);
+          }
+          cache.Release(b);
+        }
+      }
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(0, parts * num_cb, 1, run_tiles);
+    } else {
+      run_tiles(0, parts * num_cb);
+    }
+    // Install the shared ones totals into every fully-valid column's
+    // (partial) sketch — bit-identical to self-accumulation, and done
+    // before merging so partials carry complete accumulators.
+    for (size_t p = 0; p < parts; ++p) {
+      auto [row_begin, row_end] = ranges[p];
+      if (row_begin >= row_end || !has_fully_valid) continue;
+      size_t offset = parts == 1 ? 0 : p * n_num;
+      for (size_t i = 0; i < n_num; ++i) {
+        if (numeric_ptrs[i]->null_count() != 0) continue;
+        builder.ApplySharedOnes(shared_ones[p], target[offset + i]);
+      }
+    }
+    // The cache dies with this scope; snapshot its telemetry so the
+    // engine can surface panel hit/regeneration counts later.
+    result.panel_stats = cache.stats();
     if (parts > 1) {
       auto merge_columns = [&](size_t col_begin, size_t col_end) {
         for (size_t i = col_begin; i < col_end; ++i) {

@@ -68,8 +68,8 @@ class TableProfile {
   double preprocess_seconds() const { return preprocess_seconds_; }
 
   /// Telemetry snapshot of the panel cache used during ingestion (the cache
-  /// itself is transient to the preprocessing pass). All-zero under
-  /// kRowAtATime or for tables with no numeric columns.
+  /// itself is transient to the preprocessing pass). All-zero for tables with
+  /// no numeric columns.
   const RandomPanelCache::Stats& panel_stats() const { return panel_stats_; }
 
   /// Approximate total sketch memory in bytes (for E8 reporting).
@@ -98,20 +98,6 @@ class TableProfile {
   RandomPanelCache::Stats panel_stats_;
 };
 
-/// How numeric columns are folded into their sketches.
-enum class IngestMode {
-  /// Panel-blocked kernels: the per-row random hyperplane/projection
-  /// components are materialized once per row block in a RandomPanelCache
-  /// shared by every numeric column and every worker partition, and each
-  /// (partition x column-block) tile consumes the cached panel through dense
-  /// blocked accumulation kernels. Bit-identical to kRowAtATime.
-  kPanelBlocked,
-  /// Reference path: regenerate the random components row by row inside each
-  /// worker block (the pre-panel behavior). Kept for equivalence testing and
-  /// as the benchmark baseline.
-  kRowAtATime,
-};
-
 /// Options for preprocessing.
 struct PreprocessOptions {
   SketchConfig sketch;
@@ -128,11 +114,9 @@ struct PreprocessOptions {
   /// boundaries is bit-identical to Profile() over the full table with the
   /// same boundaries (the gate in test_append_equivalence).
   std::vector<size_t> partition_boundaries;
-  /// Numeric ingestion strategy; both modes produce bit-identical profiles.
-  IngestMode ingest = IngestMode::kPanelBlocked;
-  /// Rows per cached random panel block under kPanelBlocked (0 = auto).
-  /// Peak panel memory is O(resident blocks * block_rows * (hyperplane_bits
-  /// + projection_dims) * 8 bytes).
+  /// Rows per cached random panel block (0 = auto). Peak panel memory is
+  /// O(resident blocks * block_rows * (hyperplane_bits + projection_dims) * 8
+  /// bytes).
   size_t panel_block_rows = 0;
 };
 
@@ -146,10 +130,9 @@ class Preprocessor {
   /// random hyperplane/projection components derive only from (seed, row) and
   /// each column's sketches see their rows in the same order either way, the
   /// resulting profile is bit-identical to the serial one — across worker
-  /// counts, ingest modes, and panel block sizes, for any fixed partition
-  /// layout. (Different partition layouts are statistically equivalent but
-  /// not bit-identical: merging independently-built sketches reassociates
-  /// floating-point sums.)
+  /// counts and panel block sizes, for any fixed partition layout. (Different
+  /// partition layouts are statistically equivalent but not bit-identical:
+  /// merging independently-built sketches reassociates floating-point sums.)
   static StatusOr<TableProfile> Profile(const DataTable& table,
                                         const PreprocessOptions& options = {},
                                         ThreadPool* pool = nullptr);
@@ -165,7 +148,7 @@ class Preprocessor {
   /// size), so it is recomputed and rematerialized outright.
   ///
   /// The delta uses the profile's own sketch geometry (options.sketch is
-  /// ignored); options supplies ingest mode, block size, and sample size.
+  /// ignored); options supplies the panel block size and sample size.
   /// Returns FailedPrecondition when the auto-resolved hyperplane width
   /// changes at the new row count — sketches of different widths cannot
   /// merge — in which case the profile is untouched and the caller should

@@ -120,11 +120,13 @@ class BundleBuilder {
   NumericColumnSketch MakeNumericSketch() const;
   CategoricalColumnSketch MakeCategoricalSketch() const;
 
-  /// Folds rows [row_offset, ...) of a column into a sketch. Null rows are
-  /// skipped for value sketches but still advance the absolute row index, so
-  /// hyperplane/projection components stay row-aligned across columns.
-  /// `scratch` (optional) supplies reusable row buffers so repeated calls
-  /// don't reallocate.
+  /// Folds rows [row_offset, ...) of a column into a sketch, generating each
+  /// row's random components as it goes. Null rows are skipped for value
+  /// sketches but still advance the absolute row index, so
+  /// hyperplane/projection components stay row-aligned across columns. This
+  /// is the per-row reference the panel-blocked kernels below must match bit
+  /// for bit. `scratch` (optional) supplies reusable row buffers so repeated
+  /// calls don't reallocate.
   void AccumulateNumeric(const NumericColumn& column, size_t row_begin,
                          size_t row_end, NumericColumnSketch& sketch,
                          IngestScratch* scratch = nullptr) const;
@@ -166,14 +168,6 @@ class BundleBuilder {
   void ApplySharedOnes(const SharedOnes& ones,
                        NumericColumnSketch& sketch) const;
 
-  /// Row-major fast path: folds one value into a sketch given this row's
-  /// pre-generated hyperplane and projection components. Generating each
-  /// row's random components ONCE and applying them to every column is what
-  /// makes whole-table preprocessing a single O(|B| * n * k) pass (§3)
-  /// instead of regenerating the components |B| times.
-  void AccumulateRowValue(double value, const std::vector<double>& hyperplane_row,
-                          const std::vector<double>& projection_row,
-                          NumericColumnSketch& sketch) const;
   void AccumulateCategorical(const CategoricalColumn& column, size_t row_begin,
                              size_t row_end,
                              CategoricalColumnSketch& sketch) const;
@@ -187,6 +181,13 @@ class BundleBuilder {
       const CategoricalColumn& column) const;
 
  private:
+  /// Folds one value into a sketch given this row's pre-generated hyperplane
+  /// and projection components.
+  void AccumulateRowValue(double value,
+                          const std::vector<double>& hyperplane_row,
+                          const std::vector<double>& projection_row,
+                          NumericColumnSketch& sketch) const;
+
   SketchConfig config_;
   size_t hyperplane_bits_;
   HyperplaneSketcher hyperplane_sketcher_;

@@ -91,12 +91,14 @@ class HyperplaneSketcher {
                        HyperplaneAccumulator& acc) const;
 
   /// Writes the k Gaussian hyperplane components for `row` into `out`
-  /// (resized to k). Lets callers sketch many columns in a single pass over
-  /// rows, generating each row's hyperplane components once — this is how the
-  /// preprocessor achieves the paper's one-pass O(|B| * n * k) bound.
+  /// (resized to k). Components are a pure function of (seed, row), so every
+  /// column sketched by this sketcher sees the same hyperplanes.
   void GenerateRowHyperplanes(size_t row, std::vector<double>& out) const;
 
-  /// Same, writing into a raw buffer of k doubles (panel materialization).
+  /// Same, writing into a raw buffer of k doubles. The panel cache fills each
+  /// row block through it once, so preprocessing generates each row's
+  /// components once for all columns — the paper's one-pass O(|B| * n * k)
+  /// bound.
   void GenerateRowHyperplanes(size_t row, double* out) const;
 
   /// Blocked accumulation against a pre-generated hyperplane panel.
@@ -109,11 +111,10 @@ class HyperplaneSketcher {
   /// j in ascending order.
   ///
   /// Bit-identity guarantee: each accumulator dot[i] receives exactly the
-  /// additions the row-at-a-time path (GenerateRowHyperplanes + scalar
-  /// accumulation) performs, in the same row order, one add per row — the
-  /// kernel only blocks rows so the panel is generated once and the loops
-  /// stay dense/contiguous (same guarantee PR 1/2 established for
-  /// parallelism).
+  /// additions the per-row reference (BundleBuilder::AccumulateNumeric:
+  /// GenerateRowHyperplanes + scalar accumulation) performs, in the same row
+  /// order, one add per row — the kernel only blocks rows so the panel is
+  /// generated once and the loops stay dense/contiguous.
   void AccumulateValuesBlock(const double* panel, const uint32_t* local_rows,
                              const double* values, size_t count,
                              double* dot) const;

@@ -1,10 +1,11 @@
-// Panel-blocked ingestion must be BIT-IDENTICAL to the row-at-a-time
-// reference path: same serialized profile, byte for byte, across panel block
-// sizes (including 1, a non-divisor, and one spanning the whole table),
-// partition counts, and worker counts — with null patterns that exercise the
-// compaction path (scattered nulls, all-null, trailing nulls into a partial
-// block). Plus RandomPanelCache unit behavior: content, generate-once under
-// contention, and planned-use freeing.
+// Panel-blocked ingestion must be BIT-IDENTICAL to the per-row oracle —
+// BundleBuilder::AccumulateNumeric over each partition, partials merged in
+// partition order — sketch for sketch, across panel block sizes (including 1,
+// a non-divisor, and one spanning the whole table), partition counts, and
+// worker counts, with null patterns that exercise the compaction path
+// (scattered nulls, all-null, trailing nulls into a partial block). Plus
+// RandomPanelCache unit behavior: content, generate-once under contention,
+// and planned-use freeing.
 
 #include <cmath>
 #include <memory>
@@ -14,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "core/profile.h"
+#include "data/generators.h"
 #include "data/table.h"
 #include "sketch/panel_cache.h"
+#include "sketch/serialize.h"
 #include "util/thread_pool.h"
 
 namespace foresight {
@@ -77,34 +80,65 @@ std::string ComparableProfileJson(const TableProfile& profile) {
   return json.Dump();
 }
 
-TEST(KernelEquivalence, BlockedMatchesRowAtATimeAcrossBlockSizesAndPartitions) {
+/// The per-row oracle for numeric ingestion: AccumulateNumeric regenerates
+/// each row's random components and folds the rows in order, once per
+/// partition of the near-equal layout that num_partitions = `parts` selects;
+/// the partials merge in partition order and are finalized. Serialized per
+/// numeric column.
+std::vector<std::string> OracleNumericSketches(const DataTable& table,
+                                               size_t parts) {
+  const size_t n = table.num_rows();
+  BundleBuilder builder(PreprocessOptions{}.sketch, n);
+  std::vector<std::string> sketches;
+  for (size_t c : table.NumericColumnIndices()) {
+    const NumericColumn& column = table.column(c).AsNumeric();
+    NumericColumnSketch merged = builder.MakeNumericSketch();
+    for (size_t p = 0; p < parts; ++p) {
+      NumericColumnSketch partial = builder.MakeNumericSketch();
+      builder.AccumulateNumeric(column, n * p / parts, n * (p + 1) / parts,
+                                partial);
+      merged.Merge(partial);
+    }
+    builder.FinalizeNumeric(merged);
+    sketches.push_back(NumericSketchToJson(merged).Dump());
+  }
+  return sketches;
+}
+
+std::vector<std::string> ProfileNumericSketches(const TableProfile& profile) {
+  std::vector<std::string> sketches;
+  for (size_t c : profile.table().NumericColumnIndices()) {
+    sketches.push_back(NumericSketchToJson(profile.numeric_sketch(c)).Dump());
+  }
+  return sketches;
+}
+
+TEST(KernelEquivalence, BlockedMatchesOracleAcrossBlockSizesAndPartitions) {
   DataTable table = MakeNullPatternTable();
   ThreadPool pool(3);
   for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-    PreprocessOptions reference_options;
-    reference_options.num_partitions = parts;
-    reference_options.ingest = IngestMode::kRowAtATime;
-    auto reference = Preprocessor::Profile(table, reference_options);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    std::string expected = ComparableProfileJson(*reference);
-
-    // The reference path itself must be pool-invariant (it was the pre-panel
-    // production path).
-    auto reference_pooled =
-        Preprocessor::Profile(table, reference_options, &pool);
-    ASSERT_TRUE(reference_pooled.ok()) << reference_pooled.status();
-    EXPECT_EQ(expected, ComparableProfileJson(*reference_pooled))
-        << "row_at_a_time parts=" << parts << " with pool";
+    const std::vector<std::string> expected =
+        OracleNumericSketches(table, parts);
+    PreprocessOptions serial_options;
+    serial_options.num_partitions = parts;
+    auto serial = Preprocessor::Profile(table, serial_options);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    EXPECT_EQ(expected, ProfileNumericSketches(*serial)) << "parts=" << parts;
+    const std::string serial_json = ComparableProfileJson(*serial);
 
     for (size_t block_rows : {size_t{1}, size_t{7}, size_t{64}, kRows}) {
       PreprocessOptions options;
       options.num_partitions = parts;
-      options.ingest = IngestMode::kPanelBlocked;
       options.panel_block_rows = block_rows;
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         auto blocked = Preprocessor::Profile(table, options, p);
         ASSERT_TRUE(blocked.ok()) << blocked.status();
-        EXPECT_EQ(expected, ComparableProfileJson(*blocked))
+        EXPECT_EQ(expected, ProfileNumericSketches(*blocked))
+            << "parts=" << parts << " block_rows=" << block_rows
+            << " pool=" << (p != nullptr);
+        // The rest of the profile (categorical sketches, row sample, ranks)
+        // is just as invariant.
+        EXPECT_EQ(serial_json, ComparableProfileJson(*blocked))
             << "parts=" << parts << " block_rows=" << block_rows
             << " pool=" << (p != nullptr);
       }
@@ -112,18 +146,20 @@ TEST(KernelEquivalence, BlockedMatchesRowAtATimeAcrossBlockSizesAndPartitions) {
   }
 }
 
-TEST(KernelEquivalence, DefaultModeIsPanelBlockedAndMatchesReference) {
-  DataTable table = MakeNullPatternTable();
-  PreprocessOptions defaults;
-  ASSERT_EQ(defaults.ingest, IngestMode::kPanelBlocked);
-  auto blocked = Preprocessor::Profile(table, defaults);
-  ASSERT_TRUE(blocked.ok()) << blocked.status();
-  PreprocessOptions reference_options;
-  reference_options.ingest = IngestMode::kRowAtATime;
-  auto reference = Preprocessor::Profile(table, reference_options);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(ComparableProfileJson(*reference),
-            ComparableProfileJson(*blocked));
+TEST(KernelEquivalence, WideTableMatchesOracleAcrossWorkersAndBlockSizes) {
+  DataTable table = MakeBenchmarkTable(3000, 12, 3, 7);
+  const std::vector<std::string> expected = OracleNumericSketches(table, 1);
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (size_t block_rows : {size_t{0}, size_t{64}, size_t{3000}}) {
+      PreprocessOptions options;
+      options.panel_block_rows = block_rows;
+      auto blocked = Preprocessor::Profile(table, options, p);
+      ASSERT_TRUE(blocked.ok()) << blocked.status();
+      EXPECT_EQ(expected, ProfileNumericSketches(*blocked))
+          << "block_rows=" << block_rows << " pool=" << (p != nullptr);
+    }
+  }
 }
 
 TEST(KernelEquivalence, CenteredProjectionCacheMatchesComputation) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
+#include "core/engine.h"
 #include "data/generators.h"
 #include "viz/charts.h"
 
@@ -110,25 +110,6 @@ TEST_F(MetadataQueryTest, UnknownTagYieldsNoCandidates) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->insights.empty());
   EXPECT_EQ(result->candidates_evaluated, 0u);
-}
-
-TEST_F(MetadataQueryTest, IndexHonorsTagConstraints) {
-  auto index = InsightIndex::Build(*engine_, {"linear_relationship"});
-  ASSERT_TRUE(index.ok());
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.required_tags = {"currency"};
-  query.top_k = 10;
-  query.mode = ExecutionMode::kSketch;
-  auto live = engine_->Execute(query);
-  auto indexed = index->Execute(query);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_EQ(live->insights.size(), indexed->insights.size());
-  ASSERT_EQ(live->insights.size(), 3u);
-  for (size_t i = 0; i < live->insights.size(); ++i) {
-    EXPECT_EQ(live->insights[i].Key(), indexed->insights[i].Key());
-  }
 }
 
 class OverviewTest : public ::testing::Test {

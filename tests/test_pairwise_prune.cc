@@ -21,15 +21,25 @@ namespace {
 
 constexpr size_t kBits = 2048;  // Tight Hoeffding bounds so pruning triggers.
 
-InsightEngine MakeEngine(const DataTable& table, bool pruning,
-                         size_t workers = 1) {
+InsightEngine MakeEngine(const DataTable& table) {
   EngineOptions options;
   options.preprocess.sketch.hyperplane_bits = kBits;
-  options.num_workers = workers;
-  options.enable_pairwise_pruning = pruning;
+  options.num_workers = 1;
   auto engine = InsightEngine::Create(table, std::move(options));
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(*engine);
+}
+
+/// The exhaustive exact reference: an engine built without a sketch profile
+/// has no signatures to plan with, so it evaluates every candidate pair.
+StatusOr<InsightQueryResult> ExecuteExhaustive(const DataTable& table,
+                                               const InsightQuery& query) {
+  EngineOptions options;
+  options.build_profile = false;
+  options.num_workers = 1;
+  auto engine = InsightEngine::Create(table, std::move(options));
+  if (!engine.ok()) return engine.status();
+  return engine->Execute(query);
 }
 
 InsightQuery ExactTopK(size_t k) {
@@ -74,13 +84,11 @@ void ExpectTelemetryConsistent(const InsightQueryResult& pruned,
 TEST(PairwisePruneTest, TopKBitIdenticalAcrossSeeds) {
   for (uint64_t seed : {uint64_t{1}, uint64_t{7}, uint64_t{13}}) {
     DataTable table = MakeCorrelatedBlocks(3000, 24, 4, 0.7, seed);
-    InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+    InsightEngine engine = MakeEngine(table);
     InsightQuery query = ExactTopK(10);
 
-    engine.set_pairwise_pruning(false);
-    auto exhaustive = engine.Execute(query);
+    auto exhaustive = ExecuteExhaustive(table, query);
     ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-    engine.set_pairwise_pruning(true);
     auto pruned = engine.Execute(query);
     ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
 
@@ -93,13 +101,11 @@ TEST(PairwisePruneTest, TopKBitIdenticalAcrossSeeds) {
 
 TEST(PairwisePruneTest, WorkerCountsPreserveEquivalence) {
   DataTable table = MakeCorrelatedBlocks(3000, 24, 4, 0.7, 7);
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
   InsightQuery query = ExactTopK(10);
 
-  engine.set_pairwise_pruning(false);
-  auto exhaustive = engine.Execute(query);
+  auto exhaustive = ExecuteExhaustive(table, query);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-  engine.set_pairwise_pruning(true);
 
   for (size_t workers : {size_t{1}, size_t{8}}) {
     engine.set_num_workers(workers);
@@ -141,12 +147,10 @@ TEST(PairwisePruneTest, NullAndConstantColumnsAlwaysRefinedExactly) {
   ASSERT_TRUE(
       table.AddNumericColumn("flat", std::vector<double>(2000, 3.0)).ok());
 
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
   InsightQuery query = ExactTopK(3);
-  engine.set_pairwise_pruning(false);
-  auto exhaustive = engine.Execute(query);
+  auto exhaustive = ExecuteExhaustive(table, query);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-  engine.set_pairwise_pruning(true);
   auto pruned = engine.Execute(query);
   ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
 
@@ -187,12 +191,10 @@ TEST(PairwisePruneTest, AgreeingUnsafePairsCannotInflateThreshold) {
   ASSERT_TRUE(
       table.AddNumericColumn("flat2", std::vector<double>(2000, 4.0)).ok());
 
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
   InsightQuery query = ExactTopK(3);
-  engine.set_pairwise_pruning(false);
-  auto exhaustive = engine.Execute(query);
+  auto exhaustive = ExecuteExhaustive(table, query);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-  engine.set_pairwise_pruning(true);
   auto pruned = engine.Execute(query);
   ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
 
@@ -235,13 +237,11 @@ TEST(PairwisePruneTest, NearThresholdTiesStayIdentical) {
   ASSERT_TRUE(table.AddNumericColumn("c5", filler.x).ok());
   ASSERT_TRUE(table.AddNumericColumn("c6", filler.y).ok());
 
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
   for (size_t top_k : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
     InsightQuery query = ExactTopK(top_k);
-    engine.set_pairwise_pruning(false);
-    auto exhaustive = engine.Execute(query);
+    auto exhaustive = ExecuteExhaustive(table, query);
     ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-    engine.set_pairwise_pruning(true);
     auto pruned = engine.Execute(query);
     ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
     ExpectSameRanking(*pruned, *exhaustive);
@@ -261,10 +261,8 @@ TEST(PairwisePruneTest, NearThresholdTiesStayIdentical) {
   double boundary = boundary_insight->raw_value;
   InsightQuery query = ExactTopK(10);
   query.min_score = std::abs(boundary);
-  engine.set_pairwise_pruning(false);
-  auto exhaustive = engine.Execute(query);
+  auto exhaustive = ExecuteExhaustive(table, query);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
-  engine.set_pairwise_pruning(true);
   auto pruned = engine.Execute(query);
   ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
   ExpectSameRanking(*pruned, *exhaustive);
@@ -277,7 +275,7 @@ TEST(PairwisePruneTest, NearThresholdTiesStayIdentical) {
 
 TEST(PairwisePruneTest, OverviewRefinedCellsBitIdenticalPrunedCellsBounded) {
   DataTable table = MakeCorrelatedBlocks(3000, 20, 4, 0.7, 11);
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
 
   PairwiseOverviewOptions exhaustive_options;
   exhaustive_options.metric = "pearson";
@@ -333,7 +331,7 @@ TEST(PairwisePruneTest, OverviewRefinedCellsBitIdenticalPrunedCellsBounded) {
 
 TEST(PairwisePruneTest, PlannerBypassedWhenIneligible) {
   DataTable table = MakeCorrelatedBlocks(2000, 12, 4, 0.7, 3);
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
 
   // max_score breaks the top-k threshold argument: exhaustive fallback.
   InsightQuery capped = ExactTopK(5);
@@ -354,27 +352,19 @@ TEST(PairwisePruneTest, PlannerBypassedWhenIneligible) {
   ASSERT_TRUE(full_result.ok()) << full_result.status().ToString();
   EXPECT_FALSE(full_result->prune.used);
 
-  // Runtime toggle off and back on.
-  engine.set_pairwise_pruning(false);
-  auto disabled = engine.Execute(ExactTopK(5));
-  ASSERT_TRUE(disabled.ok()) << disabled.status().ToString();
-  EXPECT_FALSE(disabled->prune.used);
-  engine.set_pairwise_pruning(true);
-  auto enabled = engine.Execute(ExactTopK(5));
-  ASSERT_TRUE(enabled.ok()) << enabled.status().ToString();
-  EXPECT_TRUE(enabled->prune.used);
-
-  // Engines built with pruning disabled never plan.
-  InsightEngine frozen = MakeEngine(table, /*pruning=*/false);
-  auto frozen_result = frozen.Execute(ExactTopK(5));
-  ASSERT_TRUE(frozen_result.ok()) << frozen_result.status().ToString();
-  EXPECT_FALSE(frozen_result->prune.used);
-  EXPECT_FALSE(frozen.pairwise_pruning());
+  // Engines without a sketch profile never plan; the same query on the
+  // profiled engine does.
+  auto unprofiled = ExecuteExhaustive(table, ExactTopK(5));
+  ASSERT_TRUE(unprofiled.ok()) << unprofiled.status().ToString();
+  EXPECT_FALSE(unprofiled->prune.used);
+  auto profiled = engine.Execute(ExactTopK(5));
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  EXPECT_TRUE(profiled->prune.used);
 }
 
 TEST(PairwisePruneTest, InvalidOverviewThresholdRejected) {
   DataTable table = MakeCorrelatedBlocks(500, 8, 4, 0.7, 2);
-  InsightEngine engine = MakeEngine(table, /*pruning=*/true);
+  InsightEngine engine = MakeEngine(table);
   PairwiseOverviewOptions options;
   options.metric = "pearson";
   options.mode = ExecutionMode::kExact;

@@ -1,11 +1,13 @@
-// Tests for sketch/profile serialization, engine-from-profile, the insight
-// index (§3 "indexes"), and parallel query evaluation (§5 future work).
+// Tests for sketch/profile serialization, engine-from-profile, and parallel
+// query evaluation (§5 future work).
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
+#include "core/engine.h"
 #include "data/generators.h"
 #include "sketch/serialize.h"
 #include "util/random.h"
@@ -203,126 +205,6 @@ TEST_F(ProfilePersistenceTest, RejectsMismatchedTable) {
       Preprocessor::LoadProfile(*table_, JsonValue::Object()).ok());
 }
 
-// ---------- Insight index ----------
-
-class IndexTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    table_ = new DataTable(MakeOecdLike(3000, 54));
-    EngineOptions options;
-    options.preprocess.sketch.hyperplane_bits = 512;
-    auto engine = InsightEngine::Create(*table_, std::move(options));
-    ASSERT_TRUE(engine.ok());
-    engine_ = new InsightEngine(std::move(*engine));
-    auto index = InsightIndex::Build(*engine_);
-    ASSERT_TRUE(index.ok()) << index.status();
-    index_ = new InsightIndex(std::move(*index));
-  }
-  static void TearDownTestSuite() {
-    delete index_;
-    delete engine_;
-    delete table_;
-    index_ = nullptr;
-    engine_ = nullptr;
-    table_ = nullptr;
-  }
-
-  static DataTable* table_;
-  static InsightEngine* engine_;
-  static InsightIndex* index_;
-};
-
-DataTable* IndexTest::table_ = nullptr;
-InsightEngine* IndexTest::engine_ = nullptr;
-InsightIndex* IndexTest::index_ = nullptr;
-
-TEST_F(IndexTest, CoversAllDefaultMetrics) {
-  EXPECT_EQ(index_->num_rankings(), 12u);
-  for (const std::string& class_name : engine_->registry().names()) {
-    EXPECT_TRUE(index_->Covers(class_name, "")) << class_name;
-  }
-  EXPECT_FALSE(index_->Covers("linear_relationship", "pearson_projection"));
-  EXPECT_FALSE(index_->Covers("no_such_class", ""));
-  EXPECT_GT(index_->num_entries(), 200u);
-  EXPECT_GT(index_->EstimateMemoryBytes(), 0u);
-}
-
-TEST_F(IndexTest, TopKMatchesEngineSketchPath) {
-  for (const std::string& class_name : engine_->registry().names()) {
-    InsightQuery query;
-    query.class_name = class_name;
-    query.top_k = 5;
-    query.mode = ExecutionMode::kSketch;
-    auto live = engine_->Execute(query);
-    auto indexed = index_->Execute(query);
-    ASSERT_TRUE(live.ok()) << class_name;
-    ASSERT_TRUE(indexed.ok()) << class_name;
-    ASSERT_EQ(live->insights.size(), indexed->insights.size()) << class_name;
-    for (size_t i = 0; i < live->insights.size(); ++i) {
-      EXPECT_EQ(live->insights[i].Key(), indexed->insights[i].Key());
-      EXPECT_DOUBLE_EQ(live->insights[i].score, indexed->insights[i].score);
-    }
-  }
-}
-
-TEST_F(IndexTest, FixedAttributeQueriesMatch) {
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.fixed_attributes = {"SelfReportedHealth"};
-  query.top_k = 8;
-  query.mode = ExecutionMode::kSketch;
-  auto live = engine_->Execute(query);
-  auto indexed = index_->Execute(query);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_EQ(live->insights.size(), indexed->insights.size());
-  for (size_t i = 0; i < live->insights.size(); ++i) {
-    EXPECT_EQ(live->insights[i].Key(), indexed->insights[i].Key());
-  }
-  // The index touches only the posting list, not all candidates.
-  EXPECT_LT(indexed->candidates_evaluated, live->candidates_evaluated);
-}
-
-TEST_F(IndexTest, RangeQueriesMatch) {
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.min_score = 0.2;
-  query.max_score = 0.7;
-  query.top_k = 50;
-  query.mode = ExecutionMode::kSketch;
-  auto live = engine_->Execute(query);
-  auto indexed = index_->Execute(query);
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_EQ(live->insights.size(), indexed->insights.size());
-  for (size_t i = 0; i < live->insights.size(); ++i) {
-    EXPECT_EQ(live->insights[i].Key(), indexed->insights[i].Key());
-    EXPECT_GE(indexed->insights[i].score, 0.2);
-    EXPECT_LE(indexed->insights[i].score, 0.7);
-  }
-}
-
-TEST_F(IndexTest, UncoveredMetricAndUnknownAttributeFail) {
-  InsightQuery uncovered;
-  uncovered.class_name = "linear_relationship";
-  uncovered.metric = "pearson_projection";
-  EXPECT_EQ(index_->Execute(uncovered).status().code(),
-            StatusCode::kFailedPrecondition);
-  InsightQuery bad_attr;
-  bad_attr.class_name = "linear_relationship";
-  bad_attr.fixed_attributes = {"NoSuchColumn"};
-  EXPECT_EQ(index_->Execute(bad_attr).status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(IndexTest, BuildRequiresProfile) {
-  EngineOptions options;
-  options.build_profile = false;
-  auto bare = InsightEngine::Create(*table_, std::move(options));
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(InsightIndex::Build(*bare).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
 // ---------- Parallel query evaluation ----------
 
 TEST(ParallelExecutionTest, WorkersProduceIdenticalResults) {
@@ -354,14 +236,17 @@ TEST(ParallelExecutionTest, WorkersProduceIdenticalResults) {
   }
 }
 
-TEST(ParallelExecutionTest, ZeroWorkersClampsToOne) {
+TEST(ParallelExecutionTest, ZeroWorkersResolvesToHardwareConcurrency) {
   DataTable table = MakeBenchmarkTable(200, 4, 1, 56);
   EngineOptions options;
   options.build_profile = false;
   options.num_workers = 0;
   auto engine = InsightEngine::Create(table, std::move(options));
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->num_workers(), 1u);
+  // hardware_concurrency() may report 0 when unknown; the engine never runs
+  // with fewer than one worker.
+  EXPECT_EQ(engine->num_workers(),
+            std::max<size_t>(1, std::thread::hardware_concurrency()));
   EXPECT_TRUE(engine->TopInsights("skew", 2).ok());
 }
 

@@ -48,11 +48,14 @@
 // exits 0.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dataset_registry.h"
@@ -62,6 +65,7 @@
 #include "data/generators.h"
 #include "serve/http_client.h"
 #include "serve/server.h"
+#include "util/string_util.h"
 
 namespace foresight {
 namespace {
@@ -102,10 +106,21 @@ struct Args {
   bool smoke = false;
 };
 
-bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out) {
+/// Matches `arg` against a `--name=` size flag: false when it is some other
+/// argument. On a match the value must be a plain non-negative decimal
+/// integer; anything else (negative, empty, trailing junk, overflow) sets
+/// *bad_value and leaves *out untouched, so the caller prints usage.
+bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out,
+                   bool* bad_value) {
   const size_t len = std::strlen(prefix);
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = static_cast<size_t>(std::strtoull(arg.c_str() + len, nullptr, 10));
+  const std::optional<int64_t> value =
+      ParseInt64(std::string_view(arg).substr(len));
+  if (value.has_value() && *value >= 0) {
+    *out = static_cast<size_t>(*value);
+  } else {
+    *bad_value = true;
+  }
   return true;
 }
 
@@ -190,10 +205,12 @@ int Smoke(uint16_t port, const DatasetRegistry* registry,
 
 int Main(int argc, char** argv) {
   Args args;
+  bool bad_value = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     size_t port_value = 0;
-    if (ParseSizeFlag(arg, "--port=", &port_value)) {
+    size_t idle_timeout_ms = args.idle_timeout_ms;
+    if (ParseSizeFlag(arg, "--port=", &port_value, &bad_value)) {
       if (port_value > 65535) return Usage();
       args.port = static_cast<uint16_t>(port_value);
     } else if (arg.rfind("--port-file=", 0) == 0) {
@@ -202,18 +219,22 @@ int Main(int argc, char** argv) {
       args.csv_path = arg.substr(6);
     } else if (arg.rfind("--datasets=", 0) == 0) {
       args.datasets_dir = arg.substr(11);
-    } else if (ParseSizeFlag(arg, "--rows=", &args.rows) ||
-               ParseSizeFlag(arg, "--workers=", &args.workers) ||
-               ParseSizeFlag(arg, "--memory-budget=", &args.memory_budget) ||
+    } else if (ParseSizeFlag(arg, "--rows=", &args.rows, &bad_value) ||
+               ParseSizeFlag(arg, "--workers=", &args.workers, &bad_value) ||
+               ParseSizeFlag(arg, "--memory-budget=", &args.memory_budget,
+                             &bad_value) ||
                ParseSizeFlag(arg, "--dataset-workers=",
-                             &args.dataset_workers) ||
+                             &args.dataset_workers, &bad_value) ||
                ParseSizeFlag(arg, "--max-append-rows=",
-                             &args.max_append_rows) ||
+                             &args.max_append_rows, &bad_value) ||
                ParseSizeFlag(arg, "--queue-capacity=",
-                             &args.queue_capacity)) {
-    } else if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      args.idle_timeout_ms = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 18, nullptr, 10));
+                             &args.queue_capacity, &bad_value)) {
+    } else if (ParseSizeFlag(arg, "--idle-timeout-ms=", &idle_timeout_ms,
+                             &bad_value)) {
+      if (idle_timeout_ms > std::numeric_limits<uint32_t>::max()) {
+        return Usage();
+      }
+      args.idle_timeout_ms = static_cast<uint32_t>(idle_timeout_ms);
     } else if (arg == "--appendable") {
       args.appendable = true;
     } else if (arg == "--no-profile") {
@@ -224,7 +245,9 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (args.rows < 10 || args.queue_capacity == 0) return Usage();
+  if (bad_value || args.rows < 10 || args.queue_capacity == 0) {
+    return Usage();
+  }
 
   DataTable table = MakeOecdLike(args.rows, 17);
   if (!args.csv_path.empty()) {

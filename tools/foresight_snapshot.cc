@@ -33,16 +33,19 @@
 // Exit status: 0 on success, 1 on any failure (including verification
 // mismatches), 2 on usage errors.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/profile.h"
 #include "core/snapshot.h"
 #include "data/csv.h"
 #include "data/generators.h"
 #include "data/table.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -85,10 +88,21 @@ struct Args {
   bool force = false;
 };
 
-bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out) {
+/// Matches `arg` against a `--name=` size flag: false when it is some other
+/// argument. On a match the value must be a plain non-negative decimal
+/// integer; anything else (negative, empty, trailing junk, overflow) sets
+/// *bad_value and leaves *out untouched, so the caller prints usage.
+bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out,
+                   bool* bad_value) {
   const size_t len = std::strlen(prefix);
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = static_cast<size_t>(std::strtoull(arg.c_str() + len, nullptr, 10));
+  const std::optional<int64_t> value =
+      ParseInt64(std::string_view(arg).substr(len));
+  if (value.has_value() && *value >= 0) {
+    *out = static_cast<size_t>(*value);
+  } else {
+    *bad_value = true;
+  }
   return true;
 }
 
@@ -263,6 +277,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Args args;
   args.command = argv[1];
+  bool bad_value = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     size_t seed_value = 0;
@@ -274,14 +289,16 @@ int Main(int argc, char** argv) {
       args.out_path = arg.substr(6);
     } else if (arg.rfind("--in=", 0) == 0) {
       args.in_path = arg.substr(5);
-    } else if (ParseSizeFlag(arg, "--synthetic-rows=", &args.synthetic_rows) ||
+    } else if (ParseSizeFlag(arg, "--synthetic-rows=", &args.synthetic_rows,
+                             &bad_value) ||
                ParseSizeFlag(arg, "--synthetic-numeric=",
-                             &args.synthetic_numeric) ||
+                             &args.synthetic_numeric, &bad_value) ||
                ParseSizeFlag(arg, "--synthetic-categorical=",
-                             &args.synthetic_categorical) ||
-               ParseSizeFlag(arg, "--workers=", &args.workers) ||
-               ParseSizeFlag(arg, "--partitions=", &args.partitions)) {
-    } else if (ParseSizeFlag(arg, "--seed=", &seed_value)) {
+                             &args.synthetic_categorical, &bad_value) ||
+               ParseSizeFlag(arg, "--workers=", &args.workers, &bad_value) ||
+               ParseSizeFlag(arg, "--partitions=", &args.partitions,
+                             &bad_value)) {
+    } else if (ParseSizeFlag(arg, "--seed=", &seed_value, &bad_value)) {
       args.seed = seed_value;
     } else if (arg == "--rebuild") {
       args.rebuild = true;
@@ -291,7 +308,7 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (args.partitions == 0) return Usage();
+  if (bad_value || args.partitions == 0) return Usage();
 
   if (args.command == "build") return RunBuild(args);
   if (args.command == "inspect") return RunInspect(args);
