@@ -5,10 +5,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <thread>
-#include <tuple>
 
 #include "util/first_error.h"
 #include "util/timer.h"
@@ -27,7 +26,7 @@ size_t BalancedGrain(size_t items, size_t workers) {
 /// The structural (pre-evaluation) query filters: fixed attributes (§2.1)
 /// and metadata-tag constraints (§2.1 future work). Pure per-tuple predicate,
 /// so applying it before or after metric evaluation selects the same tuples —
-/// which is what lets ExecuteBatch evaluate a shared candidate union once.
+/// which is what lets a query group evaluate a shared candidate union once.
 bool TupleMatches(const DataTable& table, const AttributeTuple& tuple,
                   const std::vector<size_t>& fixed_indices,
                   const std::vector<std::string>& required_tags) {
@@ -78,12 +77,12 @@ constexpr size_t kCoarsePrefixBits = 256;
 constexpr double kBoundSlack = 1e-9;
 
 struct PrunePlan {
-  /// Candidate indices to evaluate exactly, ascending (enumeration order).
+  /// Tuple indices to evaluate exactly, ascending (enumeration order).
   std::vector<size_t> refine;
-  /// Latest sketch estimate per candidate (full precision for survivors of
-  /// the coarse pass; used by overviews to fill pruned cells).
+  /// Latest sketch estimate per planned position (full precision for
+  /// survivors of the coarse pass; used by overviews to fill pruned cells).
   std::vector<double> estimates;
-  std::vector<char> pruned;  ///< 1 = dropped by the planner.
+  std::vector<char> pruned;  ///< Per planned position; 1 = dropped.
   PruneTelemetry telemetry;
 };
 
@@ -99,49 +98,61 @@ double KthLargest(const std::vector<double>& values, size_t k) {
   return copy[k - 1];
 }
 
+/// Plans over the tuples at `positions` (ascending indices into `*tuples`).
+/// EstimateScoreBounds takes a contiguous vector: a round over every tuple
+/// passes `*tuples` itself, and any other round borrows its alive tuples by
+/// move and hands them back, so `*tuples` is unchanged on return and no tuple
+/// is copied.
 PrunePlan PlanPairwisePrune(const InsightClass& insight_class,
                             const TableProfile& profile,
-                            const std::vector<AttributeTuple>& tuples,
+                            std::vector<AttributeTuple>* tuples,
+                            std::span<const size_t> positions,
                             const std::string& metric, size_t top_k,
                             std::optional<double> min_score,
                             std::optional<double> fixed_threshold,
                             size_t coarse_bits) {
   PrunePlan plan;
-  const size_t n = tuples.size();
+  const size_t n = positions.size();
   plan.estimates.assign(n, 0.0);
   plan.pruned.assign(n, 0);
   plan.telemetry.used = true;
   plan.telemetry.pairs_total = n;
 
-  std::vector<char> alive(n, 1);
   std::vector<SketchScoreBound> bounds;
+  std::vector<AttributeTuple> borrowed;
 
   // One pruning round over the currently-alive pairs at `prefix_bits`
   // precision. The threshold is either the caller-fixed score floor
   // (overviews) or the k-th largest score LOWER bound among alive SAFE
   // pairs, strengthened by min_score: every pair it prunes is provably
-  // (w.h.p.)
-  // outside the exact top-k. Because the k pairs defining the threshold have
-  // score_hi >= score_lo >= T, they are never pruned themselves — at least
-  // top_k pairs always survive, which also keeps the next round's threshold
-  // well-defined.
+  // (w.h.p.) outside the exact top-k. Because the k pairs defining the
+  // threshold have score_hi >= score_lo >= T, they are never pruned
+  // themselves — at least top_k pairs always survive, which also keeps the
+  // next round's threshold well-defined.
   auto prune_round = [&](size_t prefix_bits, bool escalation) {
-    std::vector<AttributeTuple> round_tuples;
-    std::vector<size_t> round_index;
-    round_tuples.reserve(n);
-    round_index.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (alive[i]) {
-        round_tuples.push_back(tuples[i]);
-        round_index.push_back(i);
+    std::vector<size_t> round;  // Planned positions still alive.
+    round.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (!plan.pruned[r]) round.push_back(r);
+    }
+    if (round.size() == tuples->size()) {
+      insight_class.EstimateScoreBounds(profile, *tuples, metric, prefix_bits,
+                                        kRoundDelta, bounds);
+    } else {
+      borrowed.clear();
+      for (size_t r : round) {
+        borrowed.push_back(std::move((*tuples)[positions[r]]));
+      }
+      insight_class.EstimateScoreBounds(profile, borrowed, metric, prefix_bits,
+                                        kRoundDelta, bounds);
+      for (size_t k = 0; k < round.size(); ++k) {
+        (*tuples)[positions[round[k]]] = std::move(borrowed[k]);
       }
     }
-    insight_class.EstimateScoreBounds(profile, round_tuples, metric,
-                                      prefix_bits, kRoundDelta, bounds);
     if (escalation) {
-      plan.telemetry.pairs_escalated = round_tuples.size();
+      plan.telemetry.pairs_escalated = round.size();
     } else {
-      plan.telemetry.pairs_estimated = round_tuples.size();
+      plan.telemetry.pairs_estimated = round.size();
       for (const SketchScoreBound& bound : bounds) {
         if (!bound.safe) ++plan.telemetry.pairs_unsafe;
       }
@@ -166,12 +177,11 @@ PrunePlan PlanPairwisePrune(const InsightClass& insight_class,
         threshold = std::max(threshold, *min_score);
       }
     }
-    for (size_t r = 0; r < bounds.size(); ++r) {
-      const size_t i = round_index[r];
-      plan.estimates[i] = bounds[r].estimate;
-      if (bounds[r].safe && bounds[r].score_hi + kBoundSlack < threshold) {
-        alive[i] = 0;
-        plan.pruned[i] = 1;
+    for (size_t k = 0; k < bounds.size(); ++k) {
+      const size_t r = round[k];
+      plan.estimates[r] = bounds[k].estimate;
+      if (bounds[k].safe && bounds[k].score_hi + kBoundSlack < threshold) {
+        plan.pruned[r] = 1;
       }
     }
   };
@@ -183,8 +193,8 @@ PrunePlan PlanPairwisePrune(const InsightClass& insight_class,
     prune_round(0, /*escalation=*/true);
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    if (alive[i]) plan.refine.push_back(i);
+  for (size_t r = 0; r < n; ++r) {
+    if (!plan.pruned[r]) plan.refine.push_back(positions[r]);
   }
   plan.telemetry.pairs_refined = plan.refine.size();
   plan.telemetry.pairs_pruned = n - plan.refine.size();
@@ -355,30 +365,35 @@ StatusOr<ResolvedQuery> InsightEngine::ResolveQuery(
   return resolved;
 }
 
-Status InsightEngine::EvaluateCandidates(
-    const InsightClass& insight_class, const std::string& metric,
-    ExecutionMode mode, const std::vector<AttributeTuple>& tuples,
-    std::vector<double>* raw_values) const {
-  // Raw values land in a position-indexed array and a failure reports the
-  // lowest failing tuple index, so the outcome is identical to serial
-  // execution regardless of worker count (§5 future work).
-  raw_values->assign(tuples.size(), 0.0);
-  if (pool_ == nullptr || tuples.size() < 2) {
-    for (size_t i = 0; i < tuples.size(); ++i) {
+template <typename TupleAt>
+Status InsightEngine::EvaluateCandidates(const InsightClass& insight_class,
+                                         const std::string& metric,
+                                         ExecutionMode mode,
+                                         std::span<const size_t> positions,
+                                         size_t size, const TupleAt& tuple_at,
+                                         std::vector<double>* raw_values) const {
+  // Raw values land at their item's index and a failure reports the lowest
+  // failing position, so the outcome is identical to serial execution
+  // regardless of worker count (§5 future work).
+  raw_values->assign(size, 0.0);
+  if (pool_ == nullptr || positions.size() < 2) {
+    for (size_t i : positions) {
       FORESIGHT_ASSIGN_OR_RETURN(
-          (*raw_values)[i], Evaluate(insight_class, tuples[i], metric, mode));
+          (*raw_values)[i], Evaluate(insight_class, tuple_at(i), metric, mode));
     }
     return Status::OK();
   }
   FirstError first_error;
   pool_->ParallelFor(
-      0, tuples.size(), BalancedGrain(tuples.size(), num_workers_),
+      0, positions.size(), BalancedGrain(positions.size(), num_workers_),
       [&](size_t chunk_begin, size_t chunk_end) {
-        for (size_t i = chunk_begin; i < chunk_end; ++i) {
-          if (first_error.ShadowedAt(i)) return;
-          StatusOr<double> raw = Evaluate(insight_class, tuples[i], metric, mode);
+        for (size_t k = chunk_begin; k < chunk_end; ++k) {
+          if (first_error.ShadowedAt(k)) return;
+          const size_t i = positions[k];
+          StatusOr<double> raw =
+              Evaluate(insight_class, tuple_at(i), metric, mode);
           if (!raw.ok()) {
-            first_error.Record(i, raw.status());
+            first_error.Record(k, raw.status());
             return;
           }
           (*raw_values)[i] = *raw;
@@ -403,40 +418,6 @@ bool InsightEngine::PruneEligible(const InsightQuery& query,
                                                        resolved.metric);
 }
 
-Status InsightEngine::ExecutePrunedPairwise(
-    const InsightQuery& query, const ResolvedQuery& resolved,
-    std::vector<AttributeTuple>* candidates, std::vector<double>* raw_values,
-    PruneTelemetry* telemetry) const {
-  // determinism-ok: prune-stage latency telemetry, gated on collect_metrics
-  WallTimer timer{kDeferredStart};
-  if (metrics_ != nullptr) timer.Restart();
-  PrunePlan plan = PlanPairwisePrune(
-      *resolved.insight_class, *profile_, *candidates, resolved.metric,
-      query.top_k, query.min_score, /*fixed_threshold=*/std::nullopt,
-      kCoarsePrefixBits);
-  if (metrics_ != nullptr) {
-    metrics_->histogram("engine.prune.estimate_ms")
-        .Record(timer.ElapsedMillis());
-    timer.Restart();
-  }
-  std::vector<AttributeTuple> survivors;
-  survivors.reserve(plan.refine.size());
-  for (size_t index : plan.refine) survivors.push_back((*candidates)[index]);
-  // Survivors keep enumeration order, so the pool's first-error semantics
-  // and the assembled ranking are identical to an exhaustive run that had
-  // dropped the same pairs post-hoc.
-  FORESIGHT_RETURN_IF_ERROR(EvaluateCandidates(*resolved.insight_class,
-                                               resolved.metric, resolved.mode,
-                                               survivors, raw_values));
-  if (metrics_ != nullptr) {
-    metrics_->histogram("engine.prune.refine_ms").Record(timer.ElapsedMillis());
-    RecordPruneMetrics(plan.telemetry);
-  }
-  *candidates = std::move(survivors);
-  *telemetry = plan.telemetry;
-  return Status::OK();
-}
-
 void InsightEngine::RecordPruneMetrics(const PruneTelemetry& telemetry) const {
   MetricsRegistry& registry = *metrics_;
   registry.counter("engine.pairwise_estimated_total")
@@ -454,12 +435,13 @@ void InsightEngine::RecordPruneMetrics(const PruneTelemetry& telemetry) const {
 InsightQueryResult InsightEngine::AssembleResult(
     const InsightQuery& query, const ResolvedQuery& resolved,
     const std::vector<AttributeTuple>& candidates,
+    std::span<const size_t> positions,
     const std::vector<double>& raw_values) const {
   const InsightClass& insight_class = *resolved.insight_class;
   InsightQueryResult result;
   result.mode_used = resolved.mode;
-  result.candidates_evaluated = candidates.size();
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  result.candidates_evaluated = positions.size();
+  for (size_t i : positions) {
     if (!std::isfinite(raw_values[i])) {
       // The metric is undefined for this tuple (e.g. kurtosis of a constant
       // column evaluates to the NaN sentinel). A NaN score would break the
@@ -537,73 +519,28 @@ std::string InsightEngine::DumpMetrics(MetricsFormat format) const {
 
 StatusOr<InsightQueryResult> InsightEngine::Execute(
     const InsightQuery& query) const {
-  // determinism-ok: per-query latency telemetry, gated on collect_metrics
-  WallTimer timer{kDeferredStart};
-  QueryTrace* trace = nullptr;
-  InsightQueryResult result;
-  if (metrics_ != nullptr) {
-    timer.Restart();
-    trace = &result.trace;
-  }
-  ResolvedQuery resolved;
-  {
-    StageSpan span(trace, QueryStage::kResolve);
-    FORESIGHT_ASSIGN_OR_RETURN(resolved, ResolveQuery(query));
-  }
-  std::vector<AttributeTuple> candidates;
-  {
-    StageSpan span(trace, QueryStage::kEnumerate);
-    candidates = resolved.insight_class->EnumerateCandidates(*table_);
-    // Structural filters first (cheap checks before any metric evaluation).
-    if (!resolved.fixed_indices.empty() || !query.required_tags.empty()) {
-      std::vector<AttributeTuple> filtered;
-      filtered.reserve(candidates.size());
-      for (AttributeTuple& tuple : candidates) {
-        if (TupleMatches(*table_, tuple, resolved.fixed_indices,
-                         query.required_tags)) {
-          filtered.push_back(std::move(tuple));
-        }
-      }
-      candidates = std::move(filtered);
-    }
-  }
-  std::vector<double> raw_values;
-  PruneTelemetry prune_telemetry;
-  {
-    StageSpan span(trace, QueryStage::kEvaluate);
-    if (PruneEligible(query, resolved, candidates.size())) {
-      FORESIGHT_RETURN_IF_ERROR(ExecutePrunedPairwise(
-          query, resolved, &candidates, &raw_values, &prune_telemetry));
-    } else {
-      FORESIGHT_RETURN_IF_ERROR(EvaluateCandidates(
-          *resolved.insight_class, resolved.metric, resolved.mode, candidates,
-          &raw_values));
-    }
-  }
-  {
-    StageSpan span(trace, QueryStage::kAssemble);
-    QueryTrace saved = result.trace;  // AssembleResult builds a fresh result.
-    result = AssembleResult(query, resolved, candidates, raw_values);
-    result.trace = saved;
-  }
-  if (prune_telemetry.used) {
-    result.prune = prune_telemetry;
-    // Report the full considered-candidate count (see query.h): the planner
-    // eliminated some pairs without exact evaluation, but the query examined
-    // them all, and this keeps the field comparable with exhaustive runs.
-    result.candidates_evaluated = prune_telemetry.pairs_total;
-  }
-  if (metrics_ != nullptr) {
-    result.elapsed_ms = timer.ElapsedMillis();
-    result.trace.total_ms = result.elapsed_ms;
-    RecordQueryMetrics(*resolved.insight_class, result);
-  }
-  return result;
+  FORESIGHT_ASSIGN_OR_RETURN(std::vector<InsightQueryResult> results,
+                             RunQueries({&query, 1}));
+  return std::move(results.front());
 }
 
 StatusOr<std::vector<InsightQueryResult>> InsightEngine::ExecuteBatch(
     std::span<const InsightQuery> queries) const {
   // determinism-ok: batch latency telemetry, gated on collect_metrics.
+  WallTimer timer{kDeferredStart};
+  if (metrics_ != nullptr) timer.Restart();
+  FORESIGHT_ASSIGN_OR_RETURN(std::vector<InsightQueryResult> results,
+                             RunQueries(queries));
+  if (metrics_ != nullptr) {
+    metrics_->counter("engine.batches_total").Increment();
+    metrics_->histogram("engine.batch_ms").Record(timer.ElapsedMillis());
+  }
+  return results;
+}
+
+StatusOr<std::vector<InsightQueryResult>> InsightEngine::RunQueries(
+    std::span<const InsightQuery> queries) const {
+  // determinism-ok: per-query latency telemetry, gated on collect_metrics.
   WallTimer timer{kDeferredStart};
   const bool collect = metrics_ != nullptr;
   if (collect) timer.Restart();
@@ -627,13 +564,15 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::ExecuteBatch(
   // Group queries that can share enumeration + evaluation: same class, same
   // resolved metric, same resolved mode. Groups keep first-appearance order.
   std::vector<std::vector<size_t>> groups;
-  std::map<std::tuple<std::string, std::string, int>, size_t> group_index;
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto key = std::make_tuple(queries[q].class_name, resolved[q].metric,
-                               static_cast<int>(resolved[q].mode));
-    auto [it, inserted] = group_index.emplace(key, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(q);
+    auto same = [&](const std::vector<size_t>& group) {
+      const ResolvedQuery& lead = resolved[group.front()];
+      return lead.insight_class == resolved[q].insight_class &&
+             lead.metric == resolved[q].metric && lead.mode == resolved[q].mode;
+    };
+    auto it = std::find_if(groups.begin(), groups.end(), same);
+    if (it == groups.end()) it = groups.emplace(groups.end());
+    it->push_back(q);
   }
 
   std::vector<InsightQueryResult> results(queries.size());
@@ -644,62 +583,101 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::ExecuteBatch(
     // every member below.
     QueryTrace group_trace;
     QueryTrace* group_tp = collect ? &group_trace : nullptr;
+    // Each member's candidates as positions in the one enumerated vector, in
+    // enumeration order: every position for an unfiltered member (`all`),
+    // its structural matches otherwise, and only the planner's survivors
+    // once the member has been planned.
     std::vector<AttributeTuple> candidates;
-    std::vector<std::vector<char>> keep(group.size());
-    std::vector<AttributeTuple> union_tuples;
-    std::vector<size_t> union_positions;
+    std::vector<size_t> all;
+    std::vector<std::vector<size_t>> owned(group.size());
+    std::vector<std::span<const size_t>> kept(group.size());
     {
       StageSpan span(group_tp, QueryStage::kEnumerate);
-      // One enumeration for the whole group.
       candidates = insight_class.EnumerateCandidates(*table_);
-      // Per-query structural masks, and the union of candidates anyone needs.
-      std::vector<char> needed(candidates.size(), 0);
+      all.resize(candidates.size());
+      std::iota(all.begin(), all.end(), size_t{0});
       for (size_t g = 0; g < group.size(); ++g) {
-        size_t q = group[g];
-        keep[g].assign(candidates.size(), 0);
-        for (size_t i = 0; i < candidates.size(); ++i) {
+        const size_t q = group[g];
+        kept[g] = all;
+        if (resolved[q].fixed_indices.empty() &&
+            queries[q].required_tags.empty()) {
+          continue;
+        }
+        for (size_t i : all) {
           if (TupleMatches(*table_, candidates[i], resolved[q].fixed_indices,
                            queries[q].required_tags)) {
-            keep[g][i] = 1;
-            needed[i] = 1;
+            owned[g].push_back(i);
           }
         }
-      }
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (needed[i]) {
-          union_tuples.push_back(candidates[i]);
-          union_positions.push_back(i);
-        }
+        kept[g] = owned[g];
       }
     }
-    // Evaluate each shared candidate once, in enumeration order on the pool.
-    std::vector<double> union_values;
+    // Plan every eligible member, then evaluate the union of the candidates
+    // some member still needs once, in enumeration order on the pool.
+    std::vector<PruneTelemetry> prune(group.size());
+    std::vector<double> raw_values;
     {
       StageSpan span(group_tp, QueryStage::kEvaluate);
-      FORESIGHT_RETURN_IF_ERROR(EvaluateCandidates(
-          insight_class, lead.metric, lead.mode, union_tuples, &union_values));
-    }
-    std::vector<double> value_at(candidates.size(), 0.0);
-    for (size_t u = 0; u < union_positions.size(); ++u) {
-      value_at[union_positions[u]] = union_values[u];
-    }
-    // Per-query epilogue: gather that query's filtered candidates in
-    // enumeration order (exactly what its own Execute() would evaluate) and
-    // apply score filters + top-k via the shared AssembleResult.
-    for (size_t g = 0; g < group.size(); ++g) {
-      size_t q = group[g];
-      std::vector<AttributeTuple> mine;
-      std::vector<double> mine_values;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (keep[g][i]) {
-          mine.push_back(candidates[i]);
-          mine_values.push_back(value_at[i]);
+      // determinism-ok: prune-stage latency telemetry, gated on collect_metrics
+      WallTimer prune_timer{kDeferredStart};
+      bool planned = false;
+      for (size_t g = 0; g < group.size(); ++g) {
+        const size_t q = group[g];
+        if (!PruneEligible(queries[q], resolved[q], kept[g].size())) continue;
+        if (collect) prune_timer.Restart();
+        PrunePlan plan = PlanPairwisePrune(
+            insight_class, *profile_, &candidates, kept[g], lead.metric,
+            queries[q].top_k, queries[q].min_score,
+            /*fixed_threshold=*/std::nullopt, kCoarsePrefixBits);
+        if (collect) {
+          metrics_->histogram("engine.prune.estimate_ms")
+              .Record(prune_timer.ElapsedMillis());
+          RecordPruneMetrics(plan.telemetry);
         }
+        prune[g] = plan.telemetry;
+        owned[g] = std::move(plan.refine);
+        kept[g] = owned[g];
+        planned = true;
       }
+      // A lone member's positions already are the union.
+      std::span<const size_t> evaluate = kept.front();
+      std::vector<size_t> union_positions;
+      if (group.size() > 1) {
+        std::vector<char> needed(candidates.size(), 0);
+        for (std::span<const size_t> mine : kept) {
+          for (size_t i : mine) needed[i] = 1;
+        }
+        for (size_t i = 0; i < needed.size(); ++i) {
+          if (needed[i]) union_positions.push_back(i);
+        }
+        evaluate = union_positions;
+      }
+      if (planned && collect) prune_timer.Restart();
+      FORESIGHT_RETURN_IF_ERROR(EvaluateCandidates(
+          insight_class, lead.metric, lead.mode, evaluate, candidates.size(),
+          [&](size_t i) -> const AttributeTuple& { return candidates[i]; },
+          &raw_values));
+      if (planned && collect) {
+        metrics_->histogram("engine.prune.refine_ms")
+            .Record(prune_timer.ElapsedMillis());
+      }
+    }
+    // Per-query epilogue: score filters + top-k over that query's own
+    // positions — exactly the candidates a lone query would evaluate.
+    for (size_t g = 0; g < group.size(); ++g) {
+      const size_t q = group[g];
       {
         StageSpan span(trace_of(q), QueryStage::kAssemble);
-        results[q] =
-            AssembleResult(queries[q], resolved[q], mine, mine_values);
+        results[q] = AssembleResult(queries[q], resolved[q], candidates,
+                                    kept[g], raw_values);
+      }
+      if (prune[g].used) {
+        results[q].prune = prune[g];
+        // Report the full considered-candidate count (see query.h): the
+        // planner eliminated some pairs without exact evaluation, but the
+        // query examined them all, and this keeps the field comparable with
+        // exhaustive runs.
+        results[q].candidates_evaluated = prune[g].pairs_total;
       }
       if (collect) {
         traces[q].stage_ms[static_cast<size_t>(QueryStage::kEnumerate)] +=
@@ -712,10 +690,6 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::ExecuteBatch(
         RecordQueryMetrics(insight_class, results[q]);
       }
     }
-  }
-  if (collect) {
-    metrics_->counter("engine.batches_total").Increment();
-    metrics_->histogram("engine.batch_ms").Record(timer.ElapsedMillis());
   }
   return results;
 }
@@ -758,8 +732,11 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
     return Status::InvalidArgument(
         "pairwise overviews require an arity-2 insight class");
   }
-  if (options.refine_min_score < 0.0) {
-    return Status::InvalidArgument("refine_min_score must be >= 0");
+  // A NaN threshold would silently disable pruning, and +inf would serve
+  // every safe cell of an exact overview from its sketch estimate.
+  if (!std::isfinite(options.refine_min_score) ||
+      options.refine_min_score < 0.0) {
+    return Status::InvalidArgument("refine_min_score must be finite and >= 0");
   }
   std::string resolved_metric = options.metric.empty()
                                     ? insight_class->metric_names().front()
@@ -781,14 +758,21 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
                             : Provenance::kExact;
 
   // Symmetric metric: evaluate only the diagonal + upper triangle —
-  // d*(d+1)/2 evaluations instead of d*d — flattened into one work list
-  // (serial row-scan order, so error reporting matches serial) that the
-  // pool chews through in parallel, then mirror.
+  // d*(d+1)/2 cells instead of d*d — in row-scan order (so error reporting
+  // matches a serial scan), then mirror. The diagonal is the metric of an
+  // attribute with itself (1 for correlation and NMI-style metrics).
   std::vector<std::pair<size_t, size_t>> cells;
   cells.reserve(d * (d + 1) / 2);
   for (size_t i = 0; i < d; ++i) {
     for (size_t j = i; j < d; ++j) cells.emplace_back(i, j);
   }
+  auto cell_tuple = [&](size_t c) {
+    return AttributeTuple{{overview.column_indices[cells[c].first],
+                           overview.column_indices[cells[c].second]}};
+  };
+  // Cells to evaluate with the metric (all of them when not pruning).
+  std::vector<size_t> work(cells.size());
+  std::iota(work.begin(), work.end(), size_t{0});
 
   // Sketch-first pruning (exact mode only): cells whose score upper bound is
   // provably below refine_min_score keep their full-precision sketch
@@ -801,84 +785,49 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
                      resolved_mode == ExecutionMode::kExact &&
                      insight_class->SupportsSketchPruning(*profile_,
                                                           resolved_metric);
-  // Cell indices to evaluate with the metric (all of them when not pruning).
-  std::vector<size_t> work;
+  // determinism-ok: prune-stage latency telemetry, gated on collect_metrics
+  WallTimer timer{kDeferredStart};
+  const bool time_prune = prune && metrics_ != nullptr;
   PrunePlan plan;
   if (prune) {
-    // determinism-ok: prune-stage latency telemetry, gated on collect_metrics
-    WallTimer timer{kDeferredStart};
-    if (metrics_ != nullptr) timer.Restart();
+    if (time_prune) timer.Restart();
     std::vector<AttributeTuple> cell_tuples;
     cell_tuples.reserve(cells.size());
-    for (const auto& [i, j] : cells) {
-      cell_tuples.push_back(AttributeTuple{
-          {overview.column_indices[i], overview.column_indices[j]}});
+    for (size_t c = 0; c < cells.size(); ++c) {
+      cell_tuples.push_back(cell_tuple(c));
     }
-    plan = PlanPairwisePrune(*insight_class, *profile_, cell_tuples,
+    plan = PlanPairwisePrune(*insight_class, *profile_, &cell_tuples, work,
                              resolved_metric, /*top_k=*/0,
                              /*min_score=*/std::nullopt,
                              options.refine_min_score, /*coarse_bits=*/0);
-    if (metrics_ != nullptr) {
+    if (time_prune) {
       metrics_->histogram("engine.prune.estimate_ms")
           .Record(timer.ElapsedMillis());
       RecordPruneMetrics(plan.telemetry);
+      timer.Restart();
     }
-    work = plan.refine;
+    work = std::move(plan.refine);
     overview.prune = plan.telemetry;
     overview.cell_provenance.assign(d * d, Provenance::kExact);
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (!plan.pruned[c]) continue;
-      auto [i, j] = cells[c];
-      overview.matrix[i * d + j] = plan.estimates[c];
+  }
+  // Each cell's tuple is built where it is evaluated, on the worker.
+  std::vector<double> values;
+  FORESIGHT_RETURN_IF_ERROR(EvaluateCandidates(*insight_class, resolved_metric,
+                                               resolved_mode, work,
+                                               cells.size(), cell_tuple,
+                                               &values));
+  if (time_prune) {
+    metrics_->histogram("engine.prune.refine_ms").Record(timer.ElapsedMillis());
+  }
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const auto [i, j] = cells[c];
+    const bool estimated = prune && plan.pruned[c];
+    const double value = estimated ? plan.estimates[c] : values[c];
+    overview.matrix[i * d + j] = value;
+    overview.matrix[j * d + i] = value;
+    if (estimated) {
       overview.cell_provenance[i * d + j] = Provenance::kSketch;
       overview.cell_provenance[j * d + i] = Provenance::kSketch;
-    }
-  } else {
-    work.resize(cells.size());
-    for (size_t c = 0; c < cells.size(); ++c) work[c] = c;
-  }
-
-  // determinism-ok: refine-stage latency telemetry, gated on collect_metrics
-  WallTimer refine_timer{kDeferredStart};
-  if (prune && metrics_ != nullptr) refine_timer.Restart();
-  auto evaluate_cells = [&](size_t chunk_begin, size_t chunk_end,
-                            FirstError* first_error) {
-    for (size_t w = chunk_begin; w < chunk_end; ++w) {
-      if (first_error != nullptr && first_error->ShadowedAt(w)) return;
-      auto [i, j] = cells[work[w]];
-      // The diagonal is the metric of an attribute with itself (1 for
-      // correlation and NMI-style metrics).
-      AttributeTuple tuple{
-          {overview.column_indices[i], overview.column_indices[j]}};
-      StatusOr<double> value =
-          Evaluate(*insight_class, tuple, resolved_metric, resolved_mode);
-      if (!value.ok()) {
-        if (first_error != nullptr) first_error->Record(w, value.status());
-        return;
-      }
-      overview.matrix[i * d + j] = *value;
-    }
-  };
-  if (pool_ == nullptr || work.size() < 2) {
-    FirstError first_error;
-    evaluate_cells(0, work.size(), &first_error);
-    if (first_error.has_error()) return first_error.status();
-  } else {
-    FirstError first_error;
-    pool_->ParallelFor(0, work.size(),
-                       BalancedGrain(work.size(), num_workers_),
-                       [&](size_t chunk_begin, size_t chunk_end) {
-                         evaluate_cells(chunk_begin, chunk_end, &first_error);
-                       });
-    if (first_error.has_error()) return first_error.status();
-  }
-  if (prune && metrics_ != nullptr) {
-    metrics_->histogram("engine.prune.refine_ms")
-        .Record(refine_timer.ElapsedMillis());
-  }
-  for (size_t i = 0; i < d; ++i) {
-    for (size_t j = i + 1; j < d; ++j) {
-      overview.matrix[j * d + i] = overview.matrix[i * d + j];
     }
   }
   return overview;

@@ -186,19 +186,23 @@ class InsightEngine {
   /// with identical errors.
   StatusOr<ResolvedQuery> ResolveQuery(const InsightQuery& query) const;
 
-  /// Executes an insight query (§2.1).
+  /// Executes an insight query (§2.1): a batch of one (see ExecuteBatch).
   StatusOr<InsightQueryResult> Execute(const InsightQuery& query) const;
 
-  /// Executes a batch of queries, sharing work across them: queries are
-  /// grouped by (class, metric, mode); each group enumerates its candidate
-  /// set once and evaluates the union of the per-query filtered candidates
-  /// once on the engine pool, then per-query filters/top-k are applied — so N
+  /// Executes a batch of queries, sharing work across them — the one query
+  /// path, which Execute() also takes. Queries are grouped by (class,
+  /// metric, mode); each group enumerates its candidate set once, runs the
+  /// sketch-first prune planner for every member PruneEligible accepts, and
+  /// evaluates the union of the candidates some member still needs once on
+  /// the engine pool; then per-query filters/top-k are applied. N
   /// overlapping queries cost ~1 enumeration + 1 evaluation sweep instead of
-  /// N. Results are bit-identical to N independent Execute() calls (each
-  /// tuple's metric evaluation is a pure function of (tuple, metric, mode)).
-  /// All queries are validated up front; the first invalid query (in batch
-  /// order) fails the whole batch. An evaluation failure reports the error of
-  /// the lowest candidate index in the group's enumeration order.
+  /// N, and the results are bit-identical to N independent Execute() calls
+  /// (each tuple's metric evaluation is a pure function of (tuple, metric,
+  /// mode)). All queries are validated up front; the first invalid query
+  /// (in batch order) fails the whole batch. An evaluation failure reports
+  /// the error of the lowest candidate index in the group's enumeration
+  /// order. Only calls to this method count in engine.batches_total and
+  /// engine.batch_ms.
   StatusOr<std::vector<InsightQueryResult>> ExecuteBatch(
       std::span<const InsightQuery> queries) const;
 
@@ -264,12 +268,20 @@ class InsightEngine {
                        const AttributeTuple& tuple, const std::string& metric,
                        double raw_value, ExecutionMode mode) const;
 
-  /// Evaluates `tuples` into the position-indexed `raw_values` (serial, or on
-  /// the pool with serial-identical first-error semantics). Shared by Execute
-  /// and ExecuteBatch so both produce bit-identical values.
+  /// Execute and ExecuteBatch without the batch metrics.
+  StatusOr<std::vector<InsightQueryResult>> RunQueries(
+      std::span<const InsightQuery> queries) const;
+
+  /// Evaluates item i for each i in `positions` (ascending) into
+  /// (*raw_values)[i] of `size` values (0 where not evaluated); `tuple_at(i)`
+  /// yields item i's tuple. Serial, or on the pool with serial-identical
+  /// first-error semantics. The one evaluator: queries read their enumerated
+  /// candidates, and overviews build each cell's tuple on the worker.
+  template <typename TupleAt>
   Status EvaluateCandidates(const InsightClass& insight_class,
                             const std::string& metric, ExecutionMode mode,
-                            const std::vector<AttributeTuple>& tuples,
+                            std::span<const size_t> positions, size_t size,
+                            const TupleAt& tuple_at,
                             std::vector<double>* raw_values) const;
 
   /// True when `query`/`resolved` qualify for the sketch-first prune planner:
@@ -280,28 +292,18 @@ class InsightEngine {
   bool PruneEligible(const InsightQuery& query, const ResolvedQuery& resolved,
                      size_t num_candidates) const;
 
-  /// The estimate→prune→refine pipeline for one eligible query: plans over
-  /// `*candidates`, exactly evaluates only the survivors, and replaces
-  /// `*candidates`/`*raw_values` with the survivor tuples and their exact
-  /// values (enumeration order preserved). Fills `*telemetry` and records
-  /// prune metrics.
-  Status ExecutePrunedPairwise(const InsightQuery& query,
-                               const ResolvedQuery& resolved,
-                               std::vector<AttributeTuple>* candidates,
-                               std::vector<double>* raw_values,
-                               PruneTelemetry* telemetry) const;
-
   /// Folds prune telemetry into the registry (pairwise_* counters). Caller
   /// has already checked metrics are enabled.
   void RecordPruneMetrics(const PruneTelemetry& telemetry) const;
 
   /// Applies score-range filters, builds Insight records, and ranks the top
-  /// k. `candidates`/`raw_values` are the query's structurally filtered
-  /// candidate list in enumeration order. Shared by Execute and ExecuteBatch.
-  InsightQueryResult AssembleResult(const InsightQuery& query,
-                                    const ResolvedQuery& resolved,
-                                    const std::vector<AttributeTuple>& candidates,
-                                    const std::vector<double>& raw_values) const;
+  /// k over the candidates at `positions` (the query's own candidates in
+  /// enumeration order); `raw_values` is indexed like `candidates`.
+  InsightQueryResult AssembleResult(
+      const InsightQuery& query, const ResolvedQuery& resolved,
+      const std::vector<AttributeTuple>& candidates,
+      std::span<const size_t> positions,
+      const std::vector<double>& raw_values) const;
 
   /// Folds one finished query's telemetry (count, candidates, per-class
   /// evaluations, latency, stage histograms) into the registry. Caller has

@@ -58,9 +58,10 @@ struct InsightQuery {
 
   /// Full validation against an engine's registry and table: everything
   /// Validate() checks plus unknown class, unsupported metric, and unknown
-  /// fixed attributes. The single source of the error messages that
-  /// InsightEngine::Execute, ExecuteBatch, and QuerySession all report, so
-  /// every serving path fails identically for the same bad query.
+  /// fixed attributes. The single source of the error messages that the one
+  /// query path (InsightEngine::Execute is a batch of one, and QuerySession
+  /// routes through it) reports, so every entry point fails identically for
+  /// the same bad query.
   Status Validate(const InsightClassRegistry& registry,
                   const DataTable& table) const;
 
@@ -93,8 +94,9 @@ struct InsightQuery {
 
 /// Telemetry of the sketch-first prune planner (DESIGN.md "Sketch-first
 /// pruning"). All-zero with used == false when the planner did not run
-/// (ineligible query, pruning disabled, or no profile). Counts are a pure
-/// function of the query and profile — deterministic across worker counts.
+/// (ineligible query or no profile). Counts are a pure function of the query
+/// and profile — deterministic across worker counts, and the same whether
+/// the query ran alone or as a batch member.
 struct PruneTelemetry {
   bool used = false;          ///< The estimate→prune→refine pipeline ran.
   size_t pairs_total = 0;     ///< Candidate pairs the planner considered.

@@ -51,26 +51,51 @@ QuerySession::~QuerySession() {
 
 StatusOr<InsightQueryResult> QuerySession::Execute(
     const InsightQuery& query) const {
+  FORESIGHT_ASSIGN_OR_RETURN(std::vector<InsightQueryResult> results,
+                             Serve({&query, 1}, /*batch=*/false));
+  return std::move(results.front());
+}
+
+StatusOr<std::vector<InsightQueryResult>> QuerySession::ExecuteBatch(
+    std::span<const InsightQuery> queries) const {
+  return Serve(queries, /*batch=*/true);
+}
+
+StatusOr<std::vector<InsightQueryResult>> QuerySession::Serve(
+    std::span<const InsightQuery> queries, bool batch) const {
   const bool collect = engine_->collect_metrics();
   // determinism-ok: serving latency telemetry, gated on collect_metrics.
   WallTimer timer{kDeferredStart};
   if (collect) timer.Restart();
-  FORESIGHT_ASSIGN_OR_RETURN(ResolvedQuery resolved,
-                             engine_->ResolveQuery(query));
-  const std::string key = query.CacheKey(resolved.metric, resolved.mode);
   const uint64_t epoch = engine_->serving_epoch();
-  const size_t shard = cache_.ShardOf(key);
-  QueryTrace lookup_trace;
-  std::optional<InsightQueryResult> cached;
-  {
-    StageSpan span(collect ? &lookup_trace : nullptr,
-                   QueryStage::kCacheLookup);
-    cached = cache_.Lookup(key, epoch);
-  }
-  const double lookup_ms = lookup_trace.stage_ms[kCacheLookupIdx];
-  if (cached.has_value()) {
+  std::vector<InsightQueryResult> results(queries.size());
+  struct Miss {
+    size_t query;
+    std::string key;
+    double lookup_ms;
+  };
+  std::vector<Miss> misses;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    FORESIGHT_ASSIGN_OR_RETURN(ResolvedQuery resolved,
+                               engine_->ResolveQuery(queries[q]));
+    std::string key = queries[q].CacheKey(resolved.metric, resolved.mode);
+    QueryTrace lookup_trace;
+    std::optional<InsightQueryResult> cached;
+    {
+      StageSpan span(collect ? &lookup_trace : nullptr,
+                     QueryStage::kCacheLookup);
+      cached = cache_.Lookup(key, epoch);
+    }
+    const double lookup_ms = lookup_trace.stage_ms[kCacheLookupIdx];
+    if (collect) {
+      metrics_->histogram("engine.stage.cache_lookup_ms").Record(lookup_ms);
+    }
+    if (!cached.has_value()) {
+      misses.push_back({q, std::move(key), lookup_ms});
+      continue;
+    }
     cached->cache_hit = true;
-    cached->cache_shard = shard;
+    cached->cache_shard = cache_.ShardOf(key);
     if (collect) {
       // End-to-end hit latency (resolve + lookup + copy), not the stale
       // compute time — and mode_used stays the resolved mode it was stored
@@ -81,83 +106,37 @@ StatusOr<InsightQueryResult> QuerySession::Execute(
       cached->trace.stage_ms[kCacheLookupIdx] = lookup_ms;
       cached->elapsed_ms = timer.ElapsedMillis();
       cached->trace.total_ms = cached->elapsed_ms;
-      metrics_->histogram("engine.stage.cache_lookup_ms").Record(lookup_ms);
       metrics_->histogram("session.hit_ms").Record(cached->elapsed_ms);
     }
-    return std::move(*cached);
+    results[q] = std::move(*cached);
   }
-  FORESIGHT_ASSIGN_OR_RETURN(InsightQueryResult result,
-                             engine_->Execute(query));
-  result.cache_hit = false;
-  result.cache_shard = shard;
-  // Inserted before the lookup stage is folded in, so the cached entry keeps
-  // the pure compute-path trace.
-  cache_.Insert(key, epoch, result);
-  if (collect) {
-    result.trace.stage_ms[kCacheLookupIdx] += lookup_ms;
-    result.elapsed_ms = timer.ElapsedMillis();
-    result.trace.total_ms = result.elapsed_ms;
-    metrics_->histogram("engine.stage.cache_lookup_ms").Record(lookup_ms);
+  if (misses.empty()) return results;
+  // A lone Execute() miss goes to InsightEngine::Execute, so
+  // engine.batches_total keeps counting only ExecuteBatch calls.
+  std::vector<InsightQueryResult> computed;
+  if (batch) {
+    std::vector<InsightQuery> miss_queries;
+    miss_queries.reserve(misses.size());
+    for (const Miss& miss : misses) miss_queries.push_back(queries[miss.query]);
+    FORESIGHT_ASSIGN_OR_RETURN(computed, engine_->ExecuteBatch(miss_queries));
+  } else {
+    FORESIGHT_ASSIGN_OR_RETURN(InsightQueryResult result,
+                               engine_->Execute(queries[misses.front().query]));
+    computed.push_back(std::move(result));
   }
-  return result;
-}
-
-StatusOr<std::vector<InsightQueryResult>> QuerySession::ExecuteBatch(
-    std::span<const InsightQuery> queries) const {
-  const bool collect = engine_->collect_metrics();
-  // determinism-ok: serving latency telemetry, gated on collect_metrics.
-  WallTimer timer{kDeferredStart};
-  if (collect) timer.Restart();
-  const uint64_t epoch = engine_->serving_epoch();
-  std::vector<InsightQueryResult> results(queries.size());
-  std::vector<std::string> keys(queries.size());
-  std::vector<double> lookup_ms(queries.size(), 0.0);
-  std::vector<size_t> miss_indices;
-  std::vector<InsightQuery> miss_queries;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    FORESIGHT_ASSIGN_OR_RETURN(ResolvedQuery resolved,
-                               engine_->ResolveQuery(queries[q]));
-    keys[q] = queries[q].CacheKey(resolved.metric, resolved.mode);
-    QueryTrace lookup_trace;
-    std::optional<InsightQueryResult> cached;
-    {
-      StageSpan span(collect ? &lookup_trace : nullptr,
-                     QueryStage::kCacheLookup);
-      cached = cache_.Lookup(keys[q], epoch);
-    }
-    lookup_ms[q] = lookup_trace.stage_ms[kCacheLookupIdx];
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const Miss& miss = misses[m];
+    computed[m].cache_hit = false;
+    computed[m].cache_shard = cache_.ShardOf(miss.key);
+    // Inserted before the lookup stage is folded in, so the cached entry
+    // keeps the pure compute-path trace.
+    cache_.Insert(miss.key, epoch, computed[m]);
     if (collect) {
-      metrics_->histogram("engine.stage.cache_lookup_ms").Record(lookup_ms[q]);
+      computed[m].trace.stage_ms[kCacheLookupIdx] += miss.lookup_ms;
+      computed[m].elapsed_ms = timer.ElapsedMillis();
+      computed[m].trace.total_ms = computed[m].elapsed_ms;
     }
-    if (cached.has_value()) {
-      cached->cache_hit = true;
-      cached->cache_shard = cache_.ShardOf(keys[q]);
-      if (collect) {
-        cached->trace.stage_ms[kCacheLookupIdx] = lookup_ms[q];
-        cached->elapsed_ms = timer.ElapsedMillis();
-        cached->trace.total_ms = cached->elapsed_ms;
-      }
-      results[q] = std::move(*cached);
-    } else {
-      miss_indices.push_back(q);
-      miss_queries.push_back(queries[q]);
-    }
-  }
-  if (!miss_queries.empty()) {
-    FORESIGHT_ASSIGN_OR_RETURN(std::vector<InsightQueryResult> computed,
-                               engine_->ExecuteBatch(miss_queries));
-    for (size_t m = 0; m < miss_indices.size(); ++m) {
-      size_t q = miss_indices[m];
-      computed[m].cache_hit = false;
-      computed[m].cache_shard = cache_.ShardOf(keys[q]);
-      cache_.Insert(keys[q], epoch, computed[m]);
-      if (collect) {
-        computed[m].trace.stage_ms[kCacheLookupIdx] += lookup_ms[q];
-        computed[m].elapsed_ms = timer.ElapsedMillis();
-        computed[m].trace.total_ms = computed[m].elapsed_ms;
-      }
-      results[q] = std::move(computed[m]);
-    }
+    results[miss.query] = std::move(computed[m]);
   }
   return results;
 }

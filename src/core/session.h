@@ -46,11 +46,12 @@ class QuerySession {
 
   const InsightEngine& engine() const { return *engine_; }
 
-  /// Executes `query`, serving it from the cache when an identical query
-  /// (after canonicalization — attribute/tag order, default metric, kAuto
-  /// mode all normalize away) was answered under the current engine epoch.
-  /// The returned result reports `cache_hit`, its `cache_shard`, and the
-  /// end-to-end latency of THIS call (on a hit: resolve + lookup + copy).
+  /// Executes `query`: a batch of one (see ExecuteBatch). A query identical
+  /// after canonicalization (attribute/tag order, default metric, kAuto mode
+  /// all normalize away) and answered under the current engine epoch is
+  /// served from the cache. The returned result reports `cache_hit`, its
+  /// `cache_shard`, and the end-to-end latency of THIS call (on a hit:
+  /// resolve + lookup + copy).
   StatusOr<InsightQueryResult> Execute(const InsightQuery& query) const;
 
   /// Batched execution: answers what it can from the cache, forwards the
@@ -64,6 +65,11 @@ class QuerySession {
   void ClearCache() { cache_.Clear(); }
 
  private:
+  /// The one serving path: resolve + cache lookup per query, misses to the
+  /// engine's ExecuteBatch (`batch`) or Execute (a lone Execute() miss).
+  StatusOr<std::vector<InsightQueryResult>> Serve(
+      std::span<const InsightQuery> queries, bool batch) const;
+
   const InsightEngine* engine_;
   /// Logically the session is a read-through view of the engine; the cache
   /// mutates under the hood (it is internally synchronized).

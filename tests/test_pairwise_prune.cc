@@ -6,7 +6,9 @@
 // allowed to change how much work is done, never the answer.
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -362,15 +364,72 @@ TEST(PairwisePruneTest, PlannerBypassedWhenIneligible) {
   EXPECT_TRUE(profiled->prune.used);
 }
 
+TEST(PairwisePruneTest, BatchMembersPruneLikeSingleQueries) {
+  DataTable table = MakeCorrelatedBlocks(3000, 24, 4, 0.7, 7);
+  InsightEngine engine = MakeEngine(table);
+
+  InsightQuery all_pairs = ExactTopK(10);
+  InsightQuery drill_down = ExactTopK(5);
+  drill_down.fixed_attributes = {table.column_name(3)};
+  InsightQuery capped = ExactTopK(5);
+  capped.max_score = 0.9;
+  InsightQuery sketch = ExactTopK(5);
+  sketch.mode = ExecutionMode::kSketch;
+  const std::vector<InsightQuery> batch = {all_pairs, drill_down, capped,
+                                           sketch};
+  const std::vector<bool> eligible = {true, true, false, false};
+
+  std::vector<InsightQueryResult> exhaustive;
+  for (size_t q = 0; q < 3; ++q) {
+    auto reference = ExecuteExhaustive(table, batch[q]);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    exhaustive.push_back(std::move(*reference));
+  }
+  // A profile-less engine has no sketches, so the sketch member's reference
+  // is the profiled engine's own lone Execute.
+  engine.set_num_workers(1);
+  auto sketch_reference = engine.Execute(sketch);
+  ASSERT_TRUE(sketch_reference.ok()) << sketch_reference.status().ToString();
+  exhaustive.push_back(std::move(*sketch_reference));
+
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    engine.set_num_workers(workers);
+    auto results = engine.ExecuteBatch(batch);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(results->size(), batch.size());
+    for (size_t q = 0; q < batch.size(); ++q) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " member " +
+                   std::to_string(q));
+      const InsightQueryResult& member = (*results)[q];
+      ExpectSameRanking(member, exhaustive[q]);
+      if (eligible[q]) {
+        ExpectTelemetryConsistent(member, exhaustive[q]);
+      } else {
+        EXPECT_FALSE(member.prune.used);
+      }
+    }
+    EXPECT_GT((*results)[0].prune.pairs_pruned, 0u);
+  }
+}
+
 TEST(PairwisePruneTest, InvalidOverviewThresholdRejected) {
   DataTable table = MakeCorrelatedBlocks(500, 8, 4, 0.7, 2);
   InsightEngine engine = MakeEngine(table);
   PairwiseOverviewOptions options;
   options.metric = "pearson";
   options.mode = ExecutionMode::kExact;
-  options.refine_min_score = -0.5;
-  auto overview = engine.ComputePairwiseOverview("linear_relationship", options);
-  EXPECT_FALSE(overview.ok());
+  // NaN would silently disable pruning and +inf would serve every safe cell
+  // of an exact overview from its sketch estimate.
+  for (double threshold : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    options.refine_min_score = threshold;
+    auto overview =
+        engine.ComputePairwiseOverview("linear_relationship", options);
+    ASSERT_FALSE(overview.ok()) << threshold;
+    EXPECT_EQ(overview.status().code(), StatusCode::kInvalidArgument)
+        << threshold;
+  }
 }
 
 }  // namespace

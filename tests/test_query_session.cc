@@ -25,10 +25,19 @@ namespace {
 
 /// Field-by-field equality of two results' payloads (everything except the
 /// cache/latency telemetry, which legitimately differs between serving paths).
+/// Prune telemetry is a pure function of query and profile, so it must match
+/// too: a batch member prunes exactly as the lone query does.
 void ExpectSamePayload(const InsightQueryResult& a, const InsightQueryResult& b,
                        const std::string& label) {
   EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated) << label;
   EXPECT_EQ(a.mode_used, b.mode_used) << label;
+  EXPECT_EQ(a.prune.used, b.prune.used) << label;
+  EXPECT_EQ(a.prune.pairs_total, b.prune.pairs_total) << label;
+  EXPECT_EQ(a.prune.pairs_estimated, b.prune.pairs_estimated) << label;
+  EXPECT_EQ(a.prune.pairs_escalated, b.prune.pairs_escalated) << label;
+  EXPECT_EQ(a.prune.pairs_pruned, b.prune.pairs_pruned) << label;
+  EXPECT_EQ(a.prune.pairs_refined, b.prune.pairs_refined) << label;
+  EXPECT_EQ(a.prune.pairs_unsafe, b.prune.pairs_unsafe) << label;
   ASSERT_EQ(a.insights.size(), b.insights.size()) << label;
   for (size_t i = 0; i < a.insights.size(); ++i) {
     const Insight& x = a.insights[i];

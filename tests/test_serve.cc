@@ -222,6 +222,11 @@ TEST(ServeTest, OverviewMatchesInProcessAndParsesParams) {
       client.Request("GET", "/v1/overview/linear_relationship?mode=warp");
   ASSERT_TRUE(bad_mode.ok());
   EXPECT_EQ(bad_mode->status, 400);
+  auto nan_threshold = client.Request(
+      "GET",
+      "/v1/overview/linear_relationship?mode=exact&refine_min_score=nan");
+  ASSERT_TRUE(nan_threshold.ok());
+  EXPECT_EQ(nan_threshold->status, 400);
 }
 
 TEST(ServeTest, ErrorPathsMapStatusCodes) {
