@@ -366,12 +366,10 @@ StatusOr<ResolvedQuery> InsightEngine::ResolveQuery(
 }
 
 template <typename TupleAt>
-Status InsightEngine::EvaluateCandidates(const InsightClass& insight_class,
-                                         const std::string& metric,
-                                         ExecutionMode mode,
-                                         std::span<const size_t> positions,
-                                         size_t size, const TupleAt& tuple_at,
-                                         std::vector<double>* raw_values) const {
+Status InsightEngine::EvaluateCandidates(
+    const InsightClass& insight_class, const std::string& metric,
+    ExecutionMode mode, std::span<const size_t> positions, size_t size,
+    const TupleAt& tuple_at, std::vector<double>* raw_values) const {
   // Raw values land at their item's index and a failure reports the lowest
   // failing position, so the outcome is identical to serial execution
   // regardless of worker count (§5 future work).
@@ -563,89 +561,92 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::RunQueries(
 
   // Group queries that can share enumeration + evaluation: same class, same
   // resolved metric, same resolved mode. Groups keep first-appearance order.
-  std::vector<std::vector<size_t>> groups;
+  struct Member {
+    size_t query;
+    // The member's candidates as positions in the group's one enumerated
+    // vector, in enumeration order: every position for an unfiltered member
+    // (`all` below), else `owned` — its structural matches, and only the
+    // planner's survivors once the member has been planned.
+    std::span<const size_t> kept;
+    std::vector<size_t> owned;
+    PruneTelemetry prune;
+  };
+  std::vector<std::vector<Member>> groups;
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto same = [&](const std::vector<size_t>& group) {
-      const ResolvedQuery& lead = resolved[group.front()];
+    auto same = [&](const std::vector<Member>& group) {
+      const ResolvedQuery& lead = resolved[group.front().query];
       return lead.insight_class == resolved[q].insight_class &&
              lead.metric == resolved[q].metric && lead.mode == resolved[q].mode;
     };
     auto it = std::find_if(groups.begin(), groups.end(), same);
     if (it == groups.end()) it = groups.emplace(groups.end());
-    it->push_back(q);
+    it->push_back(Member{q, {}, {}, {}});
   }
 
   std::vector<InsightQueryResult> results(queries.size());
-  for (const std::vector<size_t>& group : groups) {
-    const ResolvedQuery& lead = resolved[group.front()];
+  for (std::vector<Member>& group : groups) {
+    const ResolvedQuery& lead = resolved[group.front().query];
     const InsightClass& insight_class = *lead.insight_class;
     // Shared stages are timed once into a group-local trace and copied to
     // every member below.
     QueryTrace group_trace;
     QueryTrace* group_tp = collect ? &group_trace : nullptr;
-    // Each member's candidates as positions in the one enumerated vector, in
-    // enumeration order: every position for an unfiltered member (`all`),
-    // its structural matches otherwise, and only the planner's survivors
-    // once the member has been planned.
     std::vector<AttributeTuple> candidates;
     std::vector<size_t> all;
-    std::vector<std::vector<size_t>> owned(group.size());
-    std::vector<std::span<const size_t>> kept(group.size());
     {
       StageSpan span(group_tp, QueryStage::kEnumerate);
       candidates = insight_class.EnumerateCandidates(*table_);
       all.resize(candidates.size());
       std::iota(all.begin(), all.end(), size_t{0});
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t q = group[g];
-        kept[g] = all;
-        if (resolved[q].fixed_indices.empty() &&
-            queries[q].required_tags.empty()) {
-          continue;
-        }
+      for (Member& member : group) {
+        const ResolvedQuery& r = resolved[member.query];
+        const std::vector<std::string>& tags =
+            queries[member.query].required_tags;
+        member.kept = all;
+        if (r.fixed_indices.empty() && tags.empty()) continue;
         for (size_t i : all) {
-          if (TupleMatches(*table_, candidates[i], resolved[q].fixed_indices,
-                           queries[q].required_tags)) {
-            owned[g].push_back(i);
+          if (TupleMatches(*table_, candidates[i], r.fixed_indices, tags)) {
+            member.owned.push_back(i);
           }
         }
-        kept[g] = owned[g];
+        member.kept = member.owned;
       }
     }
     // Plan every eligible member, then evaluate the union of the candidates
     // some member still needs once, in enumeration order on the pool.
-    std::vector<PruneTelemetry> prune(group.size());
     std::vector<double> raw_values;
     {
       StageSpan span(group_tp, QueryStage::kEvaluate);
       // determinism-ok: prune-stage latency telemetry, gated on collect_metrics
       WallTimer prune_timer{kDeferredStart};
       bool planned = false;
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t q = group[g];
-        if (!PruneEligible(queries[q], resolved[q], kept[g].size())) continue;
+      for (Member& member : group) {
+        const InsightQuery& query = queries[member.query];
+        if (!PruneEligible(query, resolved[member.query], member.kept.size())) {
+          continue;
+        }
         if (collect) prune_timer.Restart();
         PrunePlan plan = PlanPairwisePrune(
-            insight_class, *profile_, &candidates, kept[g], lead.metric,
-            queries[q].top_k, queries[q].min_score,
-            /*fixed_threshold=*/std::nullopt, kCoarsePrefixBits);
+            insight_class, *profile_, &candidates, member.kept, lead.metric,
+            query.top_k, query.min_score, /*fixed_threshold=*/std::nullopt,
+            kCoarsePrefixBits);
         if (collect) {
           metrics_->histogram("engine.prune.estimate_ms")
               .Record(prune_timer.ElapsedMillis());
           RecordPruneMetrics(plan.telemetry);
         }
-        prune[g] = plan.telemetry;
-        owned[g] = std::move(plan.refine);
-        kept[g] = owned[g];
+        member.prune = plan.telemetry;
+        member.owned = std::move(plan.refine);
+        member.kept = member.owned;
         planned = true;
       }
       // A lone member's positions already are the union.
-      std::span<const size_t> evaluate = kept.front();
+      std::span<const size_t> evaluate = group.front().kept;
       std::vector<size_t> union_positions;
       if (group.size() > 1) {
         std::vector<char> needed(candidates.size(), 0);
-        for (std::span<const size_t> mine : kept) {
-          for (size_t i : mine) needed[i] = 1;
+        for (const Member& member : group) {
+          for (size_t i : member.kept) needed[i] = 1;
         }
         for (size_t i = 0; i < needed.size(); ++i) {
           if (needed[i]) union_positions.push_back(i);
@@ -664,20 +665,20 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::RunQueries(
     }
     // Per-query epilogue: score filters + top-k over that query's own
     // positions — exactly the candidates a lone query would evaluate.
-    for (size_t g = 0; g < group.size(); ++g) {
-      const size_t q = group[g];
+    for (const Member& member : group) {
+      const size_t q = member.query;
       {
         StageSpan span(trace_of(q), QueryStage::kAssemble);
         results[q] = AssembleResult(queries[q], resolved[q], candidates,
-                                    kept[g], raw_values);
+                                    member.kept, raw_values);
       }
-      if (prune[g].used) {
-        results[q].prune = prune[g];
+      if (member.prune.used) {
+        results[q].prune = member.prune;
         // Report the full considered-candidate count (see query.h): the
         // planner eliminated some pairs without exact evaluation, but the
         // query examined them all, and this keeps the field comparable with
         // exhaustive runs.
-        results[q].candidates_evaluated = prune[g].pairs_total;
+        results[q].candidates_evaluated = member.prune.pairs_total;
       }
       if (collect) {
         traces[q].stage_ms[static_cast<size_t>(QueryStage::kEnumerate)] +=
