@@ -379,18 +379,18 @@ TEST(PairwisePruneTest, BatchMembersPruneLikeSingleQueries) {
                                            sketch};
   const std::vector<bool> eligible = {true, true, false, false};
 
-  std::vector<InsightQueryResult> exhaustive;
+  std::vector<InsightQueryResult> expected;
   for (size_t q = 0; q < 3; ++q) {
     auto reference = ExecuteExhaustive(table, batch[q]);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    exhaustive.push_back(std::move(*reference));
+    expected.push_back(std::move(*reference));
   }
   // A profile-less engine has no sketches, so the sketch member's reference
   // is the profiled engine's own lone Execute.
   engine.set_num_workers(1);
   auto sketch_reference = engine.Execute(sketch);
   ASSERT_TRUE(sketch_reference.ok()) << sketch_reference.status().ToString();
-  exhaustive.push_back(std::move(*sketch_reference));
+  expected.push_back(std::move(*sketch_reference));
 
   for (size_t workers : {size_t{1}, size_t{8}}) {
     engine.set_num_workers(workers);
@@ -401,9 +401,9 @@ TEST(PairwisePruneTest, BatchMembersPruneLikeSingleQueries) {
       SCOPED_TRACE("workers " + std::to_string(workers) + " member " +
                    std::to_string(q));
       const InsightQueryResult& member = (*results)[q];
-      ExpectSameRanking(member, exhaustive[q]);
+      ExpectSameRanking(member, expected[q]);
       if (eligible[q]) {
-        ExpectTelemetryConsistent(member, exhaustive[q]);
+        ExpectTelemetryConsistent(member, expected[q]);
       } else {
         EXPECT_FALSE(member.prune.used);
       }
