@@ -16,24 +16,16 @@
 
 using namespace foresight;
 
-/// Options-form builder for the single ComputePairwiseOverview entry point
-/// (the metric/mode convenience overloads were removed in PR 7).
-PairwiseOverviewOptions OverviewOptions(ExecutionMode mode,
-                                        std::string metric = "") {
-  PairwiseOverviewOptions options;
-  options.metric = std::move(metric);
-  options.mode = mode;
-  return options;
-}
-
 namespace {
 
 /// Mean |sketch - exact| over all pairwise correlations.
 double OverviewError(const InsightEngine& engine) {
   auto exact = engine.ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kExact));
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kExact});
   auto sketch = engine.ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kSketch));
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kSketch});
   if (!exact.ok() || !sketch.ok()) return -1.0;
   size_t d = exact->attribute_names.size();
   double total = 0.0;

@@ -16,32 +16,27 @@
 // results across every insight class and worker counts {1, 8} — the speedup
 // can never come from serving different answers.
 //
-// Workloads: 20k x 32 with a 1% batch (identity probe: every class x
-// {sketch, exact} x workers {1, 8}) and the paper-scale 100k x 128 with a 1%
-// batch (headline: append+merge must be >= 10x cheaper than re-preprocess).
-// Results are printed AND written to BENCH_append.json.
+// Workloads: 20k x 32 with a 1% batch (identity probe: every registered
+// class x {sketch, exact} x workers {1, 8}) and the paper-scale 100k x 128
+// with a 1% batch (headline: append+merge must be >= 10x cheaper than
+// re-preprocess). Results are printed AND written to BENCH_append.json.
 //
 // --smoke: small workload, identity + delta-merge checks only (< 5 s), no
 // JSON — for CI.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "bench_harness.h"
 #include "core/engine.h"
 #include "core/profile.h"
 #include "data/generators.h"
 #include "data/table.h"
-#include "serve/wire.h"
 #include "util/bench_env.h"
-#include "util/json.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 using namespace foresight;
 
@@ -51,15 +46,6 @@ constexpr uint64_t kSeed = 13;
 constexpr double kTargetSpeedup = 10.0;  // Headline full/append target.
 constexpr size_t kParallelWorkers = 8;   // Identity probe worker count.
 
-/// Every registered insight class: the identity gate runs each one over the
-/// appended and the rebuilt profile and compares wire documents.
-constexpr const char* kAllClasses[] = {
-    "linear_relationship", "monotonic_relationship", "general_dependence",
-    "dispersion", "skew", "heavy_tails", "outliers", "multimodality",
-    "missing_values", "heterogeneous_frequencies", "low_entropy",
-    "segmentation",
-};
-
 struct Workload {
   const char* label;
   size_t base_rows;
@@ -68,21 +54,12 @@ struct Workload {
   size_t categorical;
   int reps;             // Timed repetitions; the best rep is reported.
   bool identity_probe;  // Run the per-class / per-worker-count query gate.
+  bool headline;        // Gated on kTargetSpeedup.
 };
 
 constexpr Workload kWorkloads[] = {
-    {"20k x 32 (+1%)", 20000, 200, 28, 4, 3, true},
-    {"100k x 128 (+1%)", 100000, 1000, 112, 16, 2, false},
-};
-constexpr size_t kHeadlineIndex = 1;  // The paper-scale 100k x 128 workload.
-
-struct Measured {
-  bool ok = false;           // All statuses OK (timings are meaningful).
-  bool identical = true;     // Every identity gate passed.
-  bool delta_merged = true;  // No rep fell back to a full rebuild.
-  double full_s = 0.0;       // Re-preprocess of the grown table.
-  double append_s = 0.0;     // AppendPartition (table growth + merge).
-  size_t identity_queries = 0;
+    {"20k x 32 (+1%)", 20000, 200, 28, 4, 3, true, false},
+    {"100k x 128 (+1%)", 100000, 1000, 112, 16, 2, false, true},
 };
 
 /// Rows [begin, end) of `table` as a standalone table (same columns).
@@ -123,16 +100,8 @@ DataTable SliceRows(const DataTable& table, size_t begin, size_t end) {
   return out;
 }
 
-/// Profile document with the wall-clock telemetry stripped; everything else
-/// must match byte for byte.
-std::string ComparableProfileJson(const TableProfile& profile) {
-  JsonValue json = profile.ToJson();
-  json.Remove("preprocess_seconds");
-  return json.Dump();
-}
-
-Measured MeasureWorkload(const Workload& w) {
-  Measured m;
+void MeasureWorkload(const Workload& w, BenchReport* report) {
+  const std::string label = w.label;
   const size_t grown_rows = w.base_rows + w.delta_rows;
   const DataTable full =
       MakeBenchmarkTable(grown_rows, w.numeric, w.categorical, kSeed);
@@ -140,48 +109,38 @@ Measured MeasureWorkload(const Workload& w) {
   const DataTable delta = SliceRows(full, w.base_rows, grown_rows);
 
   // Full re-preprocess: the price a non-incremental system pays per batch.
-  WallTimer timer;
-  m.full_s = 1e100;
+  BestTime full_time;
+  std::optional<TableProfile> rebuilt_full;
   for (int rep = 0; rep < w.reps; ++rep) {
-    timer.Restart();
-    auto profile = Preprocessor::Profile(full);
-    const double elapsed = timer.ElapsedSeconds();
-    if (!profile.ok()) {
-      std::fprintf(stderr, "full profile failed (%s): %s\n", w.label,
-                   profile.status().ToString().c_str());
-      return m;
-    }
-    m.full_s = std::min(m.full_s, elapsed);
+    rebuilt_full.reset();
+    full_time.Time([&] {
+      rebuilt_full =
+          ValueOrExit(Preprocessor::Profile(full), label + " full profile");
+    });
   }
 
   // Append path: fresh base engine per rep (AppendPartition mutates it);
   // only the append itself — table growth, delta profile, sketch merges,
   // sample rematerialization — is timed.
-  m.append_s = 1e100;
+  BestTime append_time;
+  bool delta_merged = true;
   for (int rep = 0; rep < w.reps; ++rep) {
     DataTable table = base.Clone();
     EngineOptions options;
     options.num_workers = 1;
-    auto engine = InsightEngine::Create(table, std::move(options));
-    if (!engine.ok()) {
-      std::fprintf(stderr, "base engine failed (%s): %s\n", w.label,
-                   engine.status().ToString().c_str());
-      return m;
-    }
-    timer.Restart();
-    auto stats = engine->AppendPartition(table, delta);
-    const double elapsed = timer.ElapsedSeconds();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "append failed (%s): %s\n", w.label,
-                   stats.status().ToString().c_str());
-      return m;
-    }
-    m.append_s = std::min(m.append_s, elapsed);
-    m.delta_merged = m.delta_merged && stats->delta_merged;
-    if (stats->num_rows != grown_rows) {
+    InsightEngine engine =
+        ValueOrExit(InsightEngine::Create(table, std::move(options)),
+                    label + " base engine");
+    AppendStats stats;
+    append_time.Time([&] {
+      stats = ValueOrExit(engine.AppendPartition(table, delta),
+                          label + " append");
+    });
+    delta_merged = delta_merged && stats.delta_merged;
+    if (stats.num_rows != grown_rows) {
       std::fprintf(stderr, "append row count wrong (%s): %zu\n", w.label,
-                   stats->num_rows);
-      return m;
+                   stats.num_rows);
+      std::exit(1);
     }
   }
 
@@ -190,186 +149,91 @@ Measured MeasureWorkload(const Workload& w) {
   // same partition layout (partition_boundaries = the append history), and
   // — for probe workloads — wire results over the two must match per class
   // and mode.
+  bool identical = true;
+  size_t identity_queries = 0;
   WarnIfOversubscribed(kParallelWorkers);
   for (size_t workers : {size_t{1}, kParallelWorkers}) {
-    std::optional<ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
-    ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+    const std::string at = label + ", " + std::to_string(workers) + " workers";
+    ThreadPool pool(workers);
+    ThreadPool* pool_ptr = workers > 1 ? &pool : nullptr;
 
     DataTable table = base.Clone();
     PreprocessOptions options;
-    auto appended = Preprocessor::Profile(table, options, pool_ptr);
-    if (!appended.ok()) return m;
-    if (Status s = table.AppendRows(delta); !s.ok()) return m;
-    if (Status s = Preprocessor::AppendToProfile(table, w.base_rows, options,
-                                                 &*appended, pool_ptr);
-        !s.ok()) {
-      std::fprintf(stderr, "delta merge failed (%s, %zu workers): %s\n",
-                   w.label, workers, s.ToString().c_str());
-      return m;
-    }
+    TableProfile appended = ValueOrExit(
+        Preprocessor::Profile(table, options, pool_ptr), at + " base profile");
+    ExitIfError(table.AppendRows(delta), at + " AppendRows");
+    ExitIfError(Preprocessor::AppendToProfile(table, w.base_rows, options,
+                                              &appended, pool_ptr),
+                at + " delta merge");
 
     PreprocessOptions rebuild_options;
     rebuild_options.partition_boundaries = {w.base_rows, grown_rows};
-    auto rebuilt = Preprocessor::Profile(table, rebuild_options, pool_ptr);
-    if (!rebuilt.ok()) return m;
+    TableProfile rebuilt =
+        ValueOrExit(Preprocessor::Profile(table, rebuild_options, pool_ptr),
+                    at + " partitioned rebuild");
 
-    if (ComparableProfileJson(*appended) != ComparableProfileJson(*rebuilt)) {
-      m.identical = false;
-      std::printf("IDENTITY FAILURE (%s, %zu workers): appended profile "
-                  "document differs from the partitioned rebuild\n",
-                  w.label, workers);
+    if (ComparableProfileJson(appended) != ComparableProfileJson(rebuilt)) {
+      identical = false;
+      std::printf("IDENTITY FAILURE (%s): appended profile document differs "
+                  "from the partitioned rebuild\n", at.c_str());
     }
 
-    if (w.identity_probe && m.identical) {
+    if (w.identity_probe && identical) {
       EngineOptions appended_options;
       appended_options.num_workers = workers;
       EngineOptions rebuilt_options;
       rebuilt_options.num_workers = workers;
-      auto from_append = InsightEngine::CreateFromProfile(
-          table, std::move(*appended), std::move(appended_options));
-      auto from_rebuild = InsightEngine::CreateFromProfile(
-          table, std::move(*rebuilt), std::move(rebuilt_options));
-      if (!from_append.ok() || !from_rebuild.ok()) {
-        std::fprintf(stderr, "engine creation failed (%s)\n", w.label);
-        return m;
-      }
-      for (const char* class_name : kAllClasses) {
-        for (ExecutionMode mode :
-             {ExecutionMode::kSketch, ExecutionMode::kExact}) {
-          InsightQuery query;
-          query.class_name = class_name;
-          query.top_k = 10;
-          query.mode = mode;
-          auto a = from_append->Execute(query);
-          auto b = from_rebuild->Execute(query);
-          if (!a.ok() || !b.ok()) {
-            std::fprintf(stderr, "identity query failed (%s, %s): %s\n",
-                         w.label, class_name,
-                         (!a.ok() ? a.status() : b.status())
-                             .ToString().c_str());
-            return m;
-          }
-          ++m.identity_queries;
-          if (WireResultV1(*a).Dump() != WireResultV1(*b).Dump()) {
-            m.identical = false;
-            std::printf("IDENTITY FAILURE (%s): class %s, mode %d, "
-                        "%zu workers: append-served wire result differs\n",
-                        w.label, class_name, static_cast<int>(mode), workers);
-          }
-        }
-      }
+      const InsightEngine from_append = ValueOrExit(
+          InsightEngine::CreateFromProfile(table, std::move(appended),
+                                           std::move(appended_options)),
+          at + " append engine");
+      const InsightEngine from_rebuild = ValueOrExit(
+          InsightEngine::CreateFromProfile(table, std::move(rebuilt),
+                                           std::move(rebuilt_options)),
+          at + " rebuild engine");
+      const WireProbe probe = ProbeWireIdentity(from_append, from_rebuild, at);
+      identity_queries += probe.queries;
+      identical = identical && probe.identical;
     }
   }
 
-  m.ok = true;
-  return m;
-}
+  const double speedup = full_time.seconds() / append_time.seconds();
+  std::printf("%-20s | %-10.3f %-11.4f %-9.1f | %-7s\n", w.label,
+              full_time.seconds(), append_time.seconds(), speedup,
+              delta_merged ? "yes" : "NO");
+  if (w.identity_probe) {
+    std::printf("%-20s | %zu identity queries (every class x {sketch, exact} "
+                "x workers {1, %zu}): %s\n", "", identity_queries,
+                kParallelWorkers, identical ? "bit-identical" : "DIFFER");
+  }
 
-int RunSmoke() {
-  std::printf("bench_append --smoke: identity + delta-merge checks only\n");
-  Workload smoke{"smoke 2k x 12 (+1%)", 2000, 20, 10, 2, 1, true};
-  Measured m = MeasureWorkload(smoke);
-  if (!m.ok) return 1;
-  std::printf("full %.3f s, append %.4f s, %zu identity queries, "
-              "delta merged: %s, bit-identical: %s\n",
-              m.full_s, m.append_s, m.identity_queries,
-              m.delta_merged ? "yes" : "NO", m.identical ? "yes" : "NO");
-  return (m.identical && m.delta_merged) ? 0 : 1;
+  BenchWorkload workload{label};
+  workload.end_to_end.Set("full_rebuild_seconds", full_time.seconds());
+  workload.end_to_end.Set("append_seconds", append_time.seconds());
+  workload.end_to_end.Set("speedup", speedup);
+  if (w.identity_probe) {
+    workload.end_to_end.Set("identity_queries", identity_queries);
+  }
+  workload.gates.Set("bit_identical", identical);
+  workload.gates.Set("delta_merged", delta_merged);
+  if (w.headline) workload.gates.Set("target_met", speedup >= kTargetSpeedup);
+  report->Add(std::move(workload));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
-    std::fprintf(stderr, "unknown flag: %s (supported: --smoke)\n", argv[i]);
-    return 2;
-  }
-
-  std::printf("Incremental ingestion: append+merge vs full re-preprocess\n\n");
-
-  JsonValue workloads_json = JsonValue::Array();
-  bool all_ok = true;
-  bool all_identical = true;
-  bool all_merged = true;
-  double headline_speedup = 0.0;
-
-  std::printf("%-18s | %-10s %-11s %-9s | %-7s\n", "workload", "full (s)",
+  const BenchFlags flags = ParseBenchFlags(argc, argv, {"--smoke"});
+  BenchReport report("append", kParallelWorkers);
+  std::printf("%-20s | %-10s %-11s %-9s | %-7s\n", "workload", "full (s)",
               "append (s)", "speedup", "merged");
-  for (size_t i = 0; i < sizeof(kWorkloads) / sizeof(kWorkloads[0]); ++i) {
-    const Workload& w = kWorkloads[i];
-    Measured m = MeasureWorkload(w);
-    if (!m.ok) return 1;  // Failure already reported with its Status.
-    all_identical = all_identical && m.identical;
-    all_merged = all_merged && m.delta_merged;
-
-    const double speedup = m.append_s > 0.0 ? m.full_s / m.append_s : 0.0;
-    if (i == kHeadlineIndex) headline_speedup = speedup;
-    std::printf("%-18s | %-10.3f %-11.4f %-9.1f | %-7s\n", w.label, m.full_s,
-                m.append_s, speedup, m.delta_merged ? "yes" : "NO");
-    if (w.identity_probe) {
-      std::printf("%-18s | %zu identity queries (%zu classes x 2 modes x "
-                  "workers {1,%zu}): %s\n", "", m.identity_queries,
-                  std::size(kAllClasses), kParallelWorkers,
-                  m.identical ? "bit-identical" : "DIFFER");
-    }
-
-    JsonValue entry = JsonValue::Object();
-    entry.Set("label", w.label);
-    entry.Set("base_rows", w.base_rows);
-    entry.Set("delta_rows", w.delta_rows);
-    entry.Set("numeric_columns", w.numeric);
-    entry.Set("categorical_columns", w.categorical);
-    entry.Set("seed", kSeed);
-    entry.Set("full_rebuild_seconds", m.full_s);
-    entry.Set("append_seconds", m.append_s);
-    entry.Set("speedup", speedup);
-    entry.Set("delta_merged", m.delta_merged);
-    if (w.identity_probe) {
-      JsonValue probe = JsonValue::Object();
-      probe.Set("queries", m.identity_queries);
-      probe.Set("worker_counts", [] {
-        JsonValue counts = JsonValue::Array();
-        counts.Append(1.0);
-        counts.Append(static_cast<double>(kParallelWorkers));
-        return counts;
-      }());
-      probe.Set("scaling_claims_valid", ScalingClaimsValid(kParallelWorkers));
-      entry.Set("identity_probe", std::move(probe));
-    }
-    entry.Set("bit_identical", m.identical);
-    workloads_json.Append(std::move(entry));
-    all_ok = all_ok && m.ok;
+  if (flags.smoke) {
+    MeasureWorkload({"smoke 2k x 12 (+1%)", 2000, 20, 10, 2, 1, true, false},
+                    &report);
+    return report.Finish(/*smoke=*/true);
   }
-
-  const bool target_met = headline_speedup >= kTargetSpeedup;
-  std::printf("\nheadline (%s) append speedup: %.1fx (target >= %.0fx)\n",
-              kWorkloads[kHeadlineIndex].label, headline_speedup,
+  for (const Workload& w : kWorkloads) MeasureWorkload(w, &report);
+  std::printf("headline target: append >= %.0fx cheaper than re-preprocess\n",
               kTargetSpeedup);
-  std::printf("append-served results bit-identical: %s\n",
-              all_identical ? "yes" : "NO");
-  std::printf("delta merged on every rep (no rebuild fallback): %s\n",
-              all_merged ? "yes" : "NO");
-  std::printf("target met: %s\n\n", target_met ? "yes" : "NO");
-
-  JsonValue doc = JsonValue::Object();
-  doc.Set("bench", "append");
-  doc.Set("environment", BenchEnvironmentJson(kParallelWorkers));
-  doc.Set("workloads", std::move(workloads_json));
-  JsonValue summary = JsonValue::Object();
-  summary.Set("headline_workload", kWorkloads[kHeadlineIndex].label);
-  summary.Set("append_speedup", headline_speedup);
-  summary.Set("target", kTargetSpeedup);
-  summary.Set("target_met", target_met);
-  summary.Set("scaling_claims_valid", ScalingClaimsValid(kParallelWorkers));
-  doc.Set("summary", std::move(summary));
-  doc.Set("bit_identical", all_identical);
-  doc.Set("delta_merged", all_merged);
-
-  std::ofstream out("BENCH_append.json");
-  out << doc.Dump(2) << "\n";
-  std::printf("wrote BENCH_append.json\n");
-
-  return (all_ok && all_identical && all_merged && target_met) ? 0 : 1;
+  return report.Finish(/*smoke=*/false);
 }

@@ -19,16 +19,6 @@
 
 using namespace foresight;
 
-/// Options-form builder for the single ComputePairwiseOverview entry point
-/// (the metric/mode convenience overloads were removed in PR 7).
-PairwiseOverviewOptions OverviewOptions(ExecutionMode mode,
-                                        std::string metric = "") {
-  PairwiseOverviewOptions options;
-  options.metric = std::move(metric);
-  options.mode = mode;
-  return options;
-}
-
 int main() {
   // --- Part 1: the figure itself, on the OECD analogue. ---
   std::printf("E5: Figure 2 overview heatmap (synthetic OECD, 24 numeric "
@@ -40,9 +30,11 @@ int main() {
   if (!engine.ok()) return 1;
 
   auto exact = engine->ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kExact));
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kExact});
   auto sketch = engine->ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kSketch));
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kSketch});
   if (!exact.ok() || !sketch.ok()) return 1;
 
   std::printf("%s\n", RenderCorrelationHeatmapAscii(*exact).c_str());
@@ -82,12 +74,12 @@ int main() {
   block_options.preprocess.sketch.hyperplane_bits = 1024;
   auto block_engine = InsightEngine::Create(blocks, std::move(block_options));
   if (!block_engine.ok()) return 1;
-  auto block_exact =
-      block_engine->ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kExact));
-  auto block_sketch =
-      block_engine->ComputePairwiseOverview(
-      "linear_relationship", OverviewOptions(ExecutionMode::kSketch));
+  auto block_exact = block_engine->ComputePairwiseOverview(
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kExact});
+  auto block_sketch = block_engine->ComputePairwiseOverview(
+      "linear_relationship",
+      {.metric = "pearson", .mode = ExecutionMode::kSketch});
   if (!block_exact.ok() || !block_sketch.ok()) return 1;
 
   size_t in_block_ok_exact = 0, in_block_total = 0;

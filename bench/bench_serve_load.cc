@@ -15,10 +15,9 @@
 // 503s actually happen, every request still gets an answer, and /healthz
 // keeps responding while the queue is full.
 //
-// Results are printed AND written to BENCH_serve.json with the standard
-// bench_env block; throughput claims at C connections are only printed as
-// claims when scaling_claims_valid holds (on a 1-core box a 64-connection
-// "speedup" measures context switching).
+// Results are printed AND written to BENCH_serve.json; throughput claims at
+// C connections are only printed as claims when scaling_claims_valid holds
+// (on a 1-core box a 64-connection "speedup" measures context switching).
 //
 // Every failure path exits nonzero — no silent zeros in the JSON.
 //
@@ -29,12 +28,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_harness.h"
 #include "core/engine.h"
 #include "core/session.h"
 #include "data/generators.h"
@@ -85,15 +83,17 @@ LatencyStats Summarize(std::vector<double> latencies_ms, double window_s,
   return stats;
 }
 
-JsonValue StatsJson(const LatencyStats& stats) {
-  JsonValue json = JsonValue::Object();
-  json.Set("requests", stats.requests);
-  json.Set("qps", stats.qps);
-  json.Set("p50_ms", stats.p50_ms);
-  json.Set("p99_ms", stats.p99_ms);
-  json.Set("rejected_503", stats.rejected_503);
-  json.Set("errors", stats.errors);
-  return json;
+/// A load leg as a BENCH workload: its latency summary, gated on every
+/// request having been answered.
+BenchWorkload LoadWorkload(std::string label, const LatencyStats& stats) {
+  BenchWorkload workload{std::move(label)};
+  workload.end_to_end.Set("requests", stats.requests);
+  workload.end_to_end.Set("qps", stats.qps);
+  workload.end_to_end.Set("p50_ms", stats.p50_ms);
+  workload.end_to_end.Set("p99_ms", stats.p99_ms);
+  workload.end_to_end.Set("rejected_503", stats.rejected_503);
+  workload.gates.Set("no_errors", stats.errors == 0 && stats.requests > 0);
+  return workload;
 }
 
 const std::string& QueryBody() {
@@ -324,81 +324,66 @@ int Run(bool smoke) {
   DataTable table = MakeOecdLike(kRows, 17);
   EngineOptions engine_options;
   engine_options.num_workers = kEngineWorkers;
-  auto engine = InsightEngine::Create(table, std::move(engine_options));
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine creation failed: %s\n",
-                 engine.status().ToString().c_str());
-    return 1;
-  }
-  QuerySession session(*engine);
+  const InsightEngine engine = ValueOrExit(
+      InsightEngine::Create(table, std::move(engine_options)),
+      "engine creation");
+  QuerySession session(engine);
   HttpServer server(session);
-  if (Status started = server.Start(); !started.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
+  ExitIfError(server.Start(), "server start");
+
+  const size_t max_connections =
+      kClosedLoopConnections[std::size(kClosedLoopConnections) - 1];
+  BenchReport report("serve", std::max(max_connections, kEngineWorkers));
 
   // Gate 1: the wire path serves the same bytes as in-process execution.
   size_t identity_checked = 0;
-  if (!CheckBitIdentity(server.port(), session, &identity_checked)) {
-    server.Stop();
-    return 1;
-  }
+  const bool identical =
+      CheckBitIdentity(server.port(), session, &identity_checked);
   std::printf("bit-identity: %zu probes matched\n", identity_checked);
+  BenchWorkload identity{"wire vs in-process results"};
+  identity.end_to_end.Set("probes_matched", identity_checked);
+  identity.gates.Set("bit_identical", identical);
+  report.Add(std::move(identity));
 
   const double window_s = smoke ? 0.3 : 2.0;
-  const size_t max_connections =
-      kClosedLoopConnections[std::size(kClosedLoopConnections) - 1];
-  const bool claims_valid =
-      ScalingClaimsValid(std::max(max_connections, kEngineWorkers));
-
-  JsonValue closed_json = JsonValue::Array();
   double peak_qps = 0.0;
   std::printf("closed-loop (%.1fs windows, cache-hot /v1/query):\n",
               window_s);
   for (size_t connections : kClosedLoopConnections) {
     if (smoke && connections > 8) break;  // Keep CI under a second of load.
     LatencyStats stats = RunClosedLoop(server.port(), connections, window_s);
-    if (stats.errors > 0 || stats.requests == 0) {
-      std::fprintf(stderr, "closed-loop at %zu connections failed (%zu "
-                           "errors, %zu requests)\n",
-                   connections, stats.errors, stats.requests);
-      server.Stop();
-      return 1;
-    }
     peak_qps = std::max(peak_qps, stats.qps);
-    std::printf("  %3zu conn: %8.0f qps  p50 %7.3f ms  p99 %7.3f ms\n",
-                connections, stats.qps, stats.p50_ms, stats.p99_ms);
-    JsonValue row = StatsJson(stats);
-    row.Set("connections", connections);
-    closed_json.Append(std::move(row));
+    std::printf("  %3zu conn: %8.0f qps  p50 %7.3f ms  p99 %7.3f ms  "
+                "errors %zu\n",
+                connections, stats.qps, stats.p50_ms, stats.p99_ms,
+                stats.errors);
+    report.Add(LoadWorkload(
+        "closed loop, " + std::to_string(connections) + " connections",
+        stats));
   }
-  if (!claims_valid) {
+  if (!ScalingClaimsValid(max_connections)) {
     std::printf(
         "  note: hardware_concurrency < %zu — multi-connection QPS measures "
         "context switching here, not scaling (scaling_claims_valid=false)\n",
         max_connections);
   }
 
-  JsonValue open_json = JsonValue::Array();
   if (!smoke) {
     std::printf("open-loop (scheduled arrivals, 8 sender connections):\n");
     for (double fraction : kOpenLoopFractions) {
       const double target = std::max(10.0, peak_qps * fraction);
       LatencyStats stats =
           RunOpenLoop(server.port(), target, window_s, /*connections=*/8);
-      if (stats.errors > 0) {
-        std::fprintf(stderr, "open-loop at %.0f qps failed\n", target);
-        server.Stop();
-        return 1;
-      }
       std::printf("  target %7.0f qps: achieved %7.0f  p50 %7.3f ms  "
-                  "p99 %8.3f ms  503s %zu\n",
+                  "p99 %8.3f ms  503s %zu  errors %zu\n",
                   target, stats.qps, stats.p50_ms, stats.p99_ms,
-                  stats.rejected_503);
-      JsonValue row = StatsJson(stats);
-      row.Set("target_qps", target);
-      open_json.Append(std::move(row));
+                  stats.rejected_503, stats.errors);
+      BenchWorkload workload = LoadWorkload(
+          "open loop, " + std::to_string(static_cast<int>(fraction * 100)) +
+              "% of peak closed-loop qps",
+          stats);
+      workload.end_to_end.Set("target_qps", target);
+      report.Add(std::move(workload));
     }
   }
   server.Stop();
@@ -407,53 +392,22 @@ int Run(bool smoke) {
   // admitted request must be answered, and /healthz must stay live.
   OverloadOutcome overload = RunOverload(session);
   std::printf("overload (queue_capacity=2): sent %zu served %zu "
-              "rejected %zu healthz_ok %d\n",
+              "rejected %zu healthz_ok %d errors %zu\n",
               overload.sent, overload.served_200, overload.rejected_503,
-              overload.healthz_ok ? 1 : 0);
-  if (overload.rejected_503 == 0 || overload.served_200 == 0 ||
-      !overload.healthz_ok || overload.errors > 0) {
-    std::fprintf(stderr,
-                 "overload gate failed: need 503s AND served requests AND "
-                 "live /healthz AND zero errors\n");
-    return 1;
-  }
-
-  if (!smoke) {
-    JsonValue doc = JsonValue::Object();
-    doc.Set("bench", "serve_load");
-    doc.Set("bench_env", BenchEnvironmentJson(
-                             std::max(max_connections, kEngineWorkers)));
-    JsonValue identity = JsonValue::Object();
-    identity.Set("probes", identity_checked);
-    identity.Set("matched", true);
-    doc.Set("bit_identity", std::move(identity));
-    doc.Set("closed_loop", std::move(closed_json));
-    doc.Set("open_loop", std::move(open_json));
-    JsonValue overload_json = JsonValue::Object();
-    overload_json.Set("queue_capacity", 2);
-    overload_json.Set("sent", overload.sent);
-    overload_json.Set("served_200", overload.served_200);
-    overload_json.Set("rejected_503", overload.rejected_503);
-    overload_json.Set("healthz_ok", overload.healthz_ok);
-    doc.Set("overload", std::move(overload_json));
-    std::ofstream out("BENCH_serve.json");
-    out << doc.Dump(2) << "\n";
-    std::printf("wrote BENCH_serve.json\n");
-  }
-  return 0;
+              overload.healthz_ok ? 1 : 0, overload.errors);
+  BenchWorkload overload_workload{"overload, queue_capacity 2"};
+  overload_workload.end_to_end.Set("sent", overload.sent);
+  overload_workload.end_to_end.Set("served_200", overload.served_200);
+  overload_workload.end_to_end.Set("rejected_503", overload.rejected_503);
+  overload_workload.gates.Set(
+      "backpressure", overload.rejected_503 > 0 && overload.served_200 > 0 &&
+                          overload.healthz_ok && overload.errors == 0);
+  report.Add(std::move(overload_workload));
+  return report.Finish(smoke);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      std::fprintf(stderr, "usage: bench_serve_load [--smoke]\n");
-      return 1;
-    }
-  }
-  return Run(smoke);
+  return Run(ParseBenchFlags(argc, argv, {"--smoke"}).smoke);
 }

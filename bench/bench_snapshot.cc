@@ -24,15 +24,14 @@
 // --smoke: small workload, identity + budget-invariant checks only (< 5 s),
 // no JSON — for CI.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_harness.h"
 #include "core/dataset_registry.h"
 #include "core/engine.h"
 #include "core/profile.h"
@@ -40,10 +39,7 @@
 #include "data/csv.h"
 #include "data/generators.h"
 #include "data/table.h"
-#include "serve/wire.h"
 #include "util/bench_env.h"
-#include "util/json.h"
-#include "util/timer.h"
 
 using namespace foresight;
 
@@ -53,15 +49,6 @@ constexpr uint64_t kSeed = 11;
 constexpr double kTargetSpeedup = 20.0;  // Headline rebuild/load target.
 constexpr size_t kParallelWorkers = 8;   // Identity probe worker count.
 
-/// Every registered insight class: the identity gate runs each one over the
-/// rebuilt and the snapshot-loaded profile and compares wire documents.
-constexpr const char* kAllClasses[] = {
-    "linear_relationship", "monotonic_relationship", "general_dependence",
-    "dispersion", "skew", "heavy_tails", "outliers", "multimodality",
-    "missing_values", "heterogeneous_frequencies", "low_entropy",
-    "segmentation",
-};
-
 struct Workload {
   const char* label;
   size_t rows;
@@ -70,22 +57,12 @@ struct Workload {
   int build_reps;  // Timed repetitions; the best rep is reported.
   int load_reps;
   bool identity_probe;  // Run the per-class / per-worker-count query gate.
+  bool headline;        // Gated on kTargetSpeedup.
 };
 
 constexpr Workload kWorkloads[] = {
-    {"30k x 64", 30000, 56, 8, 3, 5, true},
-    {"100k x 128", 100000, 112, 16, 2, 5, false},
-};
-
-struct Measured {
-  bool ok = false;        // All statuses OK (timings are meaningful).
-  bool identical = true;  // Every identity gate passed.
-  double rebuild_s = 0.0;
-  double load_ms = 0.0;
-  double encode_ms = 0.0;
-  size_t snapshot_bytes = 0;
-  size_t profile_bytes = 0;  // TableProfile::EstimateMemoryBytes().
-  size_t identity_queries = 0;
+    {"30k x 64", 30000, 56, 8, 3, 5, true, true},
+    {"100k x 128", 100000, 112, 16, 2, 5, false, false},
 };
 
 /// Scratch path for this bench's snapshot files; recreated per run.
@@ -93,142 +70,117 @@ std::filesystem::path ScratchDir() {
   return std::filesystem::temp_directory_path() / "foresight_bench_snapshot";
 }
 
-Measured MeasureWorkload(const Workload& w) {
-  Measured m;
+void MeasureWorkload(const Workload& w, BenchReport* report) {
+  const std::string label = w.label;
   const DataTable table =
       MakeBenchmarkTable(w.rows, w.numeric, w.categorical, kSeed);
 
   // Cold rebuild: the price a restart pays without a snapshot.
-  WallTimer timer;
+  BestTime rebuild;
   std::optional<TableProfile> rebuilt;
-  m.rebuild_s = 1e100;
   for (int rep = 0; rep < w.build_reps; ++rep) {
-    timer.Restart();
-    auto profile = Preprocessor::Profile(table);
-    const double elapsed = timer.ElapsedSeconds();
-    if (!profile.ok()) {
-      std::fprintf(stderr, "profile build failed (%s): %s\n", w.label,
-                   profile.status().ToString().c_str());
-      return m;
-    }
-    m.rebuild_s = std::min(m.rebuild_s, elapsed);
-    rebuilt = std::move(*profile);
+    rebuilt.reset();
+    rebuild.Time([&] {
+      rebuilt =
+          ValueOrExit(Preprocessor::Profile(table), label + " profile build");
+    });
   }
-  m.profile_bytes = rebuilt->EstimateMemoryBytes();
+  const size_t profile_bytes = rebuilt->EstimateMemoryBytes();
 
   // Encode once (also timed — it is the snapshot write path minus the disk),
   // then persist through the atomic file writer the registry relies on.
-  timer.Restart();
+  WallTimer timer;
   const std::string image = EncodeProfileSnapshot(*rebuilt);
-  m.encode_ms = timer.ElapsedMillis();
-  m.snapshot_bytes = image.size();
+  const double encode_ms = timer.ElapsedMillis();
   std::error_code ec;
   std::filesystem::create_directories(ScratchDir(), ec);
-  const std::string path = (ScratchDir() / (std::string(w.label) + ".fsnap"))
-                               .string();
-  if (Status written = WriteProfileSnapshot(*rebuilt, path); !written.ok()) {
-    std::fprintf(stderr, "snapshot write failed (%s): %s\n", w.label,
-                 written.ToString().c_str());
-    return m;
-  }
+  const std::string path = (ScratchDir() / (label + ".fsnap")).string();
+  ExitIfError(WriteProfileSnapshot(*rebuilt, path), label + " snapshot write");
 
   // Cold load: file read + FJB1 decode + validators + sample
   // rematerialization — everything a registry attach pays.
+  BestTime load;
   std::optional<TableProfile> loaded;
-  m.load_ms = 1e100;
   for (int rep = 0; rep < w.load_reps; ++rep) {
-    timer.Restart();
-    auto profile = LoadProfileSnapshotFile(table, path);
-    const double elapsed = timer.ElapsedMillis();
-    if (!profile.ok()) {
-      std::fprintf(stderr, "snapshot load failed (%s): %s\n", w.label,
-                   profile.status().ToString().c_str());
-      return m;
-    }
-    m.load_ms = std::min(m.load_ms, elapsed);
-    loaded = std::move(*profile);
+    loaded.reset();
+    load.Time([&] {
+      loaded = ValueOrExit(LoadProfileSnapshotFile(table, path),
+                           label + " snapshot load");
+    });
   }
 
   // Gate 1: the restored profile document is byte-identical to the one that
   // was encoded (doubles included — that is the point of the binary path).
-  if (loaded->ToJson().Dump() != rebuilt->ToJson().Dump()) {
-    m.identical = false;
+  bool identical = loaded->ToJson().Dump() == rebuilt->ToJson().Dump();
+  if (!identical) {
     std::printf("IDENTITY FAILURE (%s): loaded profile document differs from "
                 "the rebuilt one\n", w.label);
   }
 
-  // Gate 2: query results over the two profiles are bit-identical at the
-  // wire-API level, per class, per mode, per worker count.
-  if (w.identity_probe && m.identical) {
-    EngineOptions rebuild_options;
-    rebuild_options.num_workers = 1;
-    EngineOptions snapshot_options;
-    snapshot_options.num_workers = 1;
-    auto from_rebuild = InsightEngine::CreateFromProfile(
-        table, std::move(*rebuilt), std::move(rebuild_options));
-    auto from_snapshot = InsightEngine::CreateFromProfile(
-        table, std::move(*loaded), std::move(snapshot_options));
-    if (!from_rebuild.ok() || !from_snapshot.ok()) {
-      std::fprintf(stderr, "engine creation failed (%s)\n", w.label);
-      return m;
-    }
+  // Gate 2: query results over a freshly preprocessed engine and a
+  // snapshot-loaded one are bit-identical at the wire-API level, per class,
+  // per mode, per worker count.
+  size_t identity_queries = 0;
+  if (w.identity_probe && identical) {
     WarnIfOversubscribed(kParallelWorkers);
     for (size_t workers : {size_t{1}, kParallelWorkers}) {
-      from_rebuild->set_num_workers(workers);
-      from_snapshot->set_num_workers(workers);
-      for (const char* class_name : kAllClasses) {
-        for (ExecutionMode mode : {ExecutionMode::kSketch,
-                                   ExecutionMode::kExact}) {
-          // Exact pairwise at 100k+ is a different bench; keep exact to the
-          // headline-sized probe where it costs milliseconds.
-          InsightQuery query;
-          query.class_name = class_name;
-          query.top_k = 10;
-          query.mode = mode;
-          auto a = from_rebuild->Execute(query);
-          auto b = from_snapshot->Execute(query);
-          if (!a.ok() || !b.ok()) {
-            std::fprintf(stderr, "identity query failed (%s, %s): %s\n",
-                         w.label, class_name,
-                         (!a.ok() ? a.status() : b.status())
-                             .ToString().c_str());
-            return m;
-          }
-          ++m.identity_queries;
-          if (WireResultV1(*a).Dump() != WireResultV1(*b).Dump()) {
-            m.identical = false;
-            std::printf("IDENTITY FAILURE (%s): class %s, mode %d, "
-                        "%zu workers: snapshot-served wire result differs\n",
-                        w.label, class_name, static_cast<int>(mode), workers);
-          }
-        }
-      }
+      const std::string at =
+          label + ", " + std::to_string(workers) + " workers";
+      EngineOptions rebuild_options;
+      rebuild_options.num_workers = workers;
+      EngineOptions snapshot_options;
+      snapshot_options.num_workers = workers;
+      const InsightEngine from_rebuild = ValueOrExit(
+          InsightEngine::Create(table, std::move(rebuild_options)),
+          at + " rebuild engine");
+      const InsightEngine from_snapshot = ValueOrExit(
+          InsightEngine::CreateFromProfile(
+              table,
+              ValueOrExit(LoadProfileSnapshotFile(table, path),
+                          at + " snapshot load"),
+              std::move(snapshot_options)),
+          at + " snapshot engine");
+      const WireProbe probe =
+          ProbeWireIdentity(from_rebuild, from_snapshot, at);
+      identity_queries += probe.queries;
+      identical = identical && probe.identical;
     }
   }
 
-  m.ok = true;
-  return m;
-}
+  const double speedup = rebuild.ms() / load.ms();
+  const double size_ratio = static_cast<double>(image.size()) /
+                            static_cast<double>(profile_bytes);
+  std::printf("%-14s | %-12.3f %-11.1f %-9.1f | %-14zu %-14zu %-7.2f\n",
+              w.label, rebuild.seconds(), load.ms(), speedup, image.size(),
+              profile_bytes, size_ratio);
+  if (w.identity_probe) {
+    std::printf("%-14s | %zu identity queries (every class x {sketch, exact} "
+                "x workers {1, %zu}): %s\n", "", identity_queries,
+                kParallelWorkers, identical ? "bit-identical" : "DIFFER");
+  }
 
-struct ChurnResult {
-  bool ok = false;
-  bool invariant_held = false;
-  size_t datasets = 0;
-  size_t budget_bytes = 0;
-  size_t one_dataset_bytes = 0;
-  double attach_snapshot_ms = 0.0;  // Best cold attach from a snapshot.
-  double attach_rebuild_ms = 0.0;   // Best cold attach via rebuild.
-  DatasetRegistryStats stats;
-};
+  BenchWorkload workload{label};
+  workload.end_to_end.Set("rebuild_seconds", rebuild.seconds());
+  workload.end_to_end.Set("encode_ms", encode_ms);
+  workload.end_to_end.Set("load_ms", load.ms());
+  workload.end_to_end.Set("speedup", speedup);
+  workload.end_to_end.Set("snapshot_bytes", image.size());
+  workload.end_to_end.Set("profile_estimate_bytes", profile_bytes);
+  if (w.identity_probe) {
+    workload.end_to_end.Set("identity_queries", identity_queries);
+  }
+  workload.gates.Set("bit_identical", identical);
+  if (w.headline) workload.gates.Set("target_met", speedup >= kTargetSpeedup);
+  report->Add(std::move(workload));
+}
 
 /// Builds `count` CSV+snapshot dataset fixtures under ScratchDir()/datasets
 /// and churns them through a registry whose budget fits only `fit` of them.
 /// Every Acquire also runs a query through the pinned session, so eviction
-/// happens under real use, not idle pointer traffic.
-ChurnResult RunRegistryChurn(size_t count, size_t fit, size_t rows,
-                             int rounds) {
-  ChurnResult r;
-  r.datasets = count;
+/// happens under real use, not idle pointer traffic. The gate: tracked
+/// resident bytes never exceed the budget, and evictions actually happen.
+void RunRegistryChurn(size_t count, size_t fit, size_t rows, int rounds,
+                      BenchReport* report) {
   const std::filesystem::path dir = ScratchDir() / "datasets";
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
@@ -239,54 +191,42 @@ ChurnResult RunRegistryChurn(size_t count, size_t fit, size_t rows,
     const std::string csv_path = (dir / (id + ".csv")).string();
     const DataTable generated =
         MakeBenchmarkTable(rows, 10, 2, kSeed + 100 + i);
-    if (Status s = CsvWriter::WriteFile(generated, csv_path); !s.ok()) {
-      std::fprintf(stderr, "churn fixture write failed: %s\n",
-                   s.ToString().c_str());
-      return r;
-    }
+    ExitIfError(CsvWriter::WriteFile(generated, csv_path),
+                "churn fixture write");
     // Profile the CSV-parsed table, not the in-memory one: the snapshot must
     // match the doubles a server re-reading that CSV will hold.
-    auto parsed = CsvReader::ReadFile(csv_path);
-    auto profile = parsed.ok() ? Preprocessor::Profile(*parsed)
-                               : StatusOr<TableProfile>(parsed.status());
-    if (!profile.ok()) {
-      std::fprintf(stderr, "churn fixture profile failed: %s\n",
-                   profile.status().ToString().c_str());
-      return r;
-    }
-    const std::string snap_path = (dir / (id + ".fsnap")).string();
-    if (Status s = WriteProfileSnapshot(*profile, snap_path); !s.ok()) {
-      std::fprintf(stderr, "churn fixture snapshot failed: %s\n",
-                   s.ToString().c_str());
-      return r;
-    }
+    const DataTable parsed =
+        ValueOrExit(CsvReader::ReadFile(csv_path), "churn fixture read");
+    const TableProfile profile =
+        ValueOrExit(Preprocessor::Profile(parsed), "churn fixture profile");
+    ExitIfError(WriteProfileSnapshot(profile, (dir / (id + ".fsnap")).string()),
+                "churn fixture snapshot");
   }
 
-  auto specs = DatasetRegistry::ScanDirectory(dir.string());
-  if (!specs.ok() || specs->size() != count) {
-    std::fprintf(stderr, "churn scan failed\n");
-    return r;
+  const std::vector<DatasetSpec> specs =
+      ValueOrExit(DatasetRegistry::ScanDirectory(dir.string()), "churn scan");
+  if (specs.size() != count) {
+    std::fprintf(stderr, "churn scan found %zu datasets, wrote %zu\n",
+                 specs.size(), count);
+    std::exit(1);
   }
 
   // Size the budget from a real resident dataset (table + profile bytes).
+  size_t one_dataset_bytes = 0;
   {
     DatasetRegistry sizing;  // Unlimited budget.
-    if (Status s = sizing.Add((*specs)[0]); !s.ok()) return r;
-    auto pin = sizing.Acquire((*specs)[0].id);
-    if (!pin.ok()) {
-      std::fprintf(stderr, "sizing acquire failed: %s\n",
-                   pin.status().ToString().c_str());
-      return r;
-    }
-    r.one_dataset_bytes = (*pin)->resident_bytes();
+    ExitIfError(sizing.Add(specs[0]), "sizing add");
+    one_dataset_bytes =
+        ValueOrExit(sizing.Acquire(specs[0].id), "sizing acquire")
+            ->resident_bytes();
   }
-  r.budget_bytes = r.one_dataset_bytes * fit + r.one_dataset_bytes / 2;
+  const size_t budget_bytes = one_dataset_bytes * fit + one_dataset_bytes / 2;
 
   DatasetRegistryOptions options;
-  options.memory_budget_bytes = r.budget_bytes;
+  options.memory_budget_bytes = budget_bytes;
   DatasetRegistry registry(options);
-  for (const DatasetSpec& spec : *specs) {
-    if (Status s = registry.Add(spec); !s.ok()) return r;
+  for (const DatasetSpec& spec : specs) {
+    ExitIfError(registry.Add(spec), "churn add " + spec.id);
   }
 
   InsightQuery query;
@@ -294,228 +234,103 @@ ChurnResult RunRegistryChurn(size_t count, size_t fit, size_t rows,
   query.top_k = 5;
   query.mode = ExecutionMode::kSketch;
 
-  bool all_queries_ok = true;
   bool within_budget = true;
-  r.attach_snapshot_ms = 1e100;
-  WallTimer timer;
+  BestTime attach_snapshot;  // Cold attaches from a snapshot.
   // Round-robin with a stride-3 overlay: enough reuse for hits, enough
   // rotation that the LRU tail is continuously evicted.
   for (int round = 0; round < rounds; ++round) {
     for (size_t i = 0; i < count; ++i) {
       const size_t pick = (round % 2 == 0) ? i : (i * 3) % count;
-      const std::string& id = (*specs)[pick].id;
+      const std::string& id = specs[pick].id;
       const bool was_resident = [&] {
         for (const DatasetEntryInfo& e : registry.ListEntries()) {
           if (e.id == id) return e.resident;
         }
         return false;
       }();
-      timer.Restart();
-      auto pin = registry.Acquire(id);
+      WallTimer timer;
+      const auto pin = ValueOrExit(registry.Acquire(id), "churn acquire " + id);
       const double elapsed = timer.ElapsedMillis();
-      if (!pin.ok()) {
-        std::fprintf(stderr, "churn acquire %s failed: %s\n", id.c_str(),
-                     pin.status().ToString().c_str());
-        return r;
+      if (!was_resident && pin->loaded_from_snapshot()) {
+        attach_snapshot.Add(elapsed);
       }
-      if (!was_resident && (*pin)->loaded_from_snapshot()) {
-        r.attach_snapshot_ms = std::min(r.attach_snapshot_ms, elapsed);
-      }
-      auto result = (*pin)->session().Execute(query);
-      all_queries_ok = all_queries_ok && result.ok();
+      ValueOrExit(pin->session().Execute(query), "churn query " + id);
       within_budget =
-          within_budget && registry.stats().resident_bytes <= r.budget_bytes;
+          within_budget && registry.stats().resident_bytes <= budget_bytes;
     }
   }
 
   // Rebuild-path attach for contrast: same CSVs, snapshots withheld.
+  BestTime attach_rebuild;
   {
     DatasetRegistry rebuild_registry;
-    r.attach_rebuild_ms = 1e100;
-    for (const DatasetSpec& spec : *specs) {
-      DatasetSpec stripped = spec;
-      stripped.snapshot_path.clear();
-      if (Status s = rebuild_registry.Add(std::move(stripped)); !s.ok()) {
-        return r;
+    for (DatasetSpec spec : specs) {
+      spec.snapshot_path.clear();
+      ExitIfError(rebuild_registry.Add(std::move(spec)), "rebuild add");
+    }
+    for (const DatasetSpec& spec : specs) {
+      WallTimer timer;
+      const auto pin = ValueOrExit(rebuild_registry.Acquire(spec.id),
+                                   "rebuild acquire " + spec.id);
+      attach_rebuild.Add(timer.ElapsedMillis());
+      if (pin->loaded_from_snapshot()) {
+        std::fprintf(stderr, "rebuild acquire %s loaded a snapshot\n",
+                     spec.id.c_str());
+        std::exit(1);
       }
     }
-    for (const DatasetSpec& spec : *specs) {
-      timer.Restart();
-      auto pin = rebuild_registry.Acquire(spec.id);
-      const double elapsed = timer.ElapsedMillis();
-      if (!pin.ok() || (*pin)->loaded_from_snapshot()) return r;
-      r.attach_rebuild_ms = std::min(r.attach_rebuild_ms, elapsed);
-    }
   }
 
-  r.stats = registry.stats();
-  r.invariant_held = within_budget && all_queries_ok &&
-                     r.stats.peak_resident_bytes <= r.budget_bytes &&
-                     r.stats.evictions > 0 && r.stats.load_failures == 0;
-  if (!r.invariant_held) {
-    std::printf("BUDGET FAILURE: peak %zu bytes vs budget %zu, evictions "
-                "%llu, queries ok %d, within budget during churn %d\n",
-                r.stats.peak_resident_bytes, r.budget_bytes,
-                static_cast<unsigned long long>(r.stats.evictions),
-                all_queries_ok ? 1 : 0, within_budget ? 1 : 0);
-  }
-  r.ok = true;
-  return r;
-}
+  const DatasetRegistryStats stats = registry.stats();
+  const bool invariant_held = within_budget &&
+                              stats.peak_resident_bytes <= budget_bytes &&
+                              stats.evictions > 0 && stats.load_failures == 0;
+  std::printf("registry churn: %zu datasets, budget fits %zu; loads %llu, "
+              "hits %llu, evictions %llu; peak resident %zu / budget %zu "
+              "bytes; invariant held: %s\n",
+              count, fit, static_cast<unsigned long long>(stats.loads),
+              static_cast<unsigned long long>(stats.hits),
+              static_cast<unsigned long long>(stats.evictions),
+              stats.peak_resident_bytes, budget_bytes,
+              invariant_held ? "yes" : "NO");
+  std::printf("cold attach: %.1f ms from snapshot vs %.1f ms rebuilding\n",
+              attach_snapshot.ms(), attach_rebuild.ms());
 
-JsonValue ChurnJson(const ChurnResult& r) {
-  JsonValue json = JsonValue::Object();
-  json.Set("datasets", r.datasets);
-  json.Set("budget_bytes", r.budget_bytes);
-  json.Set("one_dataset_bytes", r.one_dataset_bytes);
-  json.Set("peak_resident_bytes", r.stats.peak_resident_bytes);
-  json.Set("final_resident_bytes", r.stats.resident_bytes);
-  json.Set("loads", r.stats.loads);
-  json.Set("hits", r.stats.hits);
-  json.Set("misses", r.stats.misses);
-  json.Set("evictions", r.stats.evictions);
-  json.Set("load_failures", r.stats.load_failures);
-  json.Set("attach_snapshot_ms", r.attach_snapshot_ms);
-  json.Set("attach_rebuild_ms", r.attach_rebuild_ms);
-  json.Set("invariant_held", r.invariant_held);
-  return json;
-}
-
-int RunSmoke() {
-  std::printf("bench_snapshot --smoke: identity + budget invariant only\n");
-  Workload smoke{"smoke 2k x 12", 2000, 10, 2, 1, 1, true};
-  Measured m = MeasureWorkload(smoke);
-  if (!m.ok) return 1;
-  std::printf("rebuild %.3f s, load %.1f ms, %zu identity queries, "
-              "bit-identical: %s\n", m.rebuild_s, m.load_ms,
-              m.identity_queries, m.identical ? "yes" : "NO");
-  ChurnResult churn = RunRegistryChurn(/*count=*/4, /*fit=*/2, /*rows=*/1500,
-                                       /*rounds=*/3);
-  if (!churn.ok) return 1;
-  std::printf("churn: %llu evictions, peak %zu / budget %zu bytes, "
-              "invariant held: %s\n",
-              static_cast<unsigned long long>(churn.stats.evictions),
-              churn.stats.peak_resident_bytes, churn.budget_bytes,
-              churn.invariant_held ? "yes" : "NO");
-  std::error_code ec;
-  std::filesystem::remove_all(ScratchDir(), ec);
-  return (m.identical && churn.invariant_held) ? 0 : 1;
+  BenchWorkload workload{"registry churn: " + std::to_string(count) +
+                         " datasets of " + std::to_string(rows) +
+                         " rows, budget fits " + std::to_string(fit)};
+  workload.end_to_end.Set("attach_snapshot_ms", attach_snapshot.ms());
+  workload.end_to_end.Set("attach_rebuild_ms", attach_rebuild.ms());
+  workload.end_to_end.Set("budget_bytes", budget_bytes);
+  workload.end_to_end.Set("peak_resident_bytes", stats.peak_resident_bytes);
+  workload.end_to_end.Set("loads", stats.loads);
+  workload.end_to_end.Set("hits", stats.hits);
+  workload.end_to_end.Set("evictions", stats.evictions);
+  workload.gates.Set("budget_invariant", invariant_held);
+  report->Add(std::move(workload));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
-    std::fprintf(stderr, "unknown flag: %s (supported: --smoke)\n", argv[i]);
-    return 2;
-  }
-
-  std::printf("Binary profile snapshots: cold rebuild vs FSNAPBIN load\n\n");
-
-  JsonValue workloads_json = JsonValue::Array();
-  bool all_ok = true;
-  bool all_identical = true;
-  double headline_speedup = 0.0;
-
-  std::printf("%-12s | %-12s %-11s %-9s | %-14s %-14s %-7s\n", "workload",
+  const BenchFlags flags = ParseBenchFlags(argc, argv, {"--smoke"});
+  BenchReport report("snapshot", kParallelWorkers);
+  std::printf("%-14s | %-12s %-11s %-9s | %-14s %-14s %-7s\n", "workload",
               "rebuild (s)", "load (ms)", "speedup", "snapshot (B)",
               "profile (B)", "ratio");
-  for (size_t i = 0; i < sizeof(kWorkloads) / sizeof(kWorkloads[0]); ++i) {
-    const Workload& w = kWorkloads[i];
-    Measured m = MeasureWorkload(w);
-    if (!m.ok) return 1;  // Failure already reported with its Status.
-    all_identical = all_identical && m.identical;
-
-    const double speedup =
-        m.load_ms > 0.0 ? (m.rebuild_s * 1000.0) / m.load_ms : 0.0;
-    const double size_ratio =
-        m.profile_bytes > 0
-            ? static_cast<double>(m.snapshot_bytes) /
-                  static_cast<double>(m.profile_bytes)
-            : 0.0;
-    if (i == 0) headline_speedup = speedup;
-    std::printf("%-12s | %-12.3f %-11.1f %-9.1f | %-14zu %-14zu %-7.2f\n",
-                w.label, m.rebuild_s, m.load_ms, speedup, m.snapshot_bytes,
-                m.profile_bytes, size_ratio);
-    if (w.identity_probe) {
-      std::printf("%-12s | %zu identity queries (%zu classes x 2 modes x "
-                  "workers {1,%zu}): %s\n", "", m.identity_queries,
-                  std::size(kAllClasses), kParallelWorkers,
-                  m.identical ? "bit-identical" : "DIFFER");
-    }
-
-    JsonValue entry = JsonValue::Object();
-    entry.Set("label", w.label);
-    entry.Set("rows", w.rows);
-    entry.Set("numeric_columns", w.numeric);
-    entry.Set("categorical_columns", w.categorical);
-    entry.Set("seed", kSeed);
-    entry.Set("rebuild_seconds", m.rebuild_s);
-    entry.Set("encode_ms", m.encode_ms);
-    entry.Set("load_ms", m.load_ms);
-    entry.Set("speedup", speedup);
-    entry.Set("snapshot_bytes", m.snapshot_bytes);
-    entry.Set("profile_estimate_bytes", m.profile_bytes);
-    entry.Set("snapshot_to_profile_ratio", size_ratio);
-    if (w.identity_probe) {
-      JsonValue probe = JsonValue::Object();
-      probe.Set("queries", m.identity_queries);
-      probe.Set("worker_counts", [] {
-        JsonValue counts = JsonValue::Array();
-        counts.Append(1.0);
-        counts.Append(static_cast<double>(kParallelWorkers));
-        return counts;
-      }());
-      probe.Set("scaling_claims_valid", ScalingClaimsValid(kParallelWorkers));
-      entry.Set("identity_probe", std::move(probe));
-    }
-    entry.Set("bit_identical", m.identical);
-    workloads_json.Append(std::move(entry));
-    all_ok = all_ok && m.ok;
+  if (flags.smoke) {
+    MeasureWorkload({"smoke 2k x 12", 2000, 10, 2, 1, 1, true, false},
+                    &report);
+    RunRegistryChurn(/*count=*/4, /*fit=*/2, /*rows=*/1500, /*rounds=*/3,
+                     &report);
+  } else {
+    for (const Workload& w : kWorkloads) MeasureWorkload(w, &report);
+    RunRegistryChurn(/*count=*/8, /*fit=*/3, /*rows=*/8000, /*rounds=*/4,
+                     &report);
+    std::printf("headline target: load >= %.0fx faster than rebuild\n",
+                kTargetSpeedup);
   }
-
-  std::printf("\nregistry churn: 8 datasets, budget fits 3\n");
-  ChurnResult churn = RunRegistryChurn(/*count=*/8, /*fit=*/3, /*rows=*/8000,
-                                       /*rounds=*/4);
-  if (!churn.ok) return 1;
-  std::printf("loads %llu, hits %llu, evictions %llu; peak resident %zu / "
-              "budget %zu bytes; invariant held: %s\n",
-              static_cast<unsigned long long>(churn.stats.loads),
-              static_cast<unsigned long long>(churn.stats.hits),
-              static_cast<unsigned long long>(churn.stats.evictions),
-              churn.stats.peak_resident_bytes, churn.budget_bytes,
-              churn.invariant_held ? "yes" : "NO");
-  std::printf("cold attach: %.1f ms from snapshot vs %.1f ms rebuilding\n",
-              churn.attach_snapshot_ms, churn.attach_rebuild_ms);
-
-  const bool target_met = headline_speedup >= kTargetSpeedup;
-  std::printf("\nheadline (%s) cold-start speedup: %.1fx (target >= %.0fx)\n",
-              kWorkloads[0].label, headline_speedup, kTargetSpeedup);
-  std::printf("snapshot-served results bit-identical: %s\n",
-              all_identical ? "yes" : "NO");
-  std::printf("target met: %s\n\n", target_met ? "yes" : "NO");
-
-  JsonValue doc = JsonValue::Object();
-  doc.Set("bench", "snapshot");
-  doc.Set("environment", BenchEnvironmentJson(kParallelWorkers));
-  doc.Set("workloads", std::move(workloads_json));
-  doc.Set("registry_churn", ChurnJson(churn));
-  JsonValue summary = JsonValue::Object();
-  summary.Set("headline_workload", kWorkloads[0].label);
-  summary.Set("cold_start_speedup", headline_speedup);
-  summary.Set("target", kTargetSpeedup);
-  summary.Set("target_met", target_met);
-  doc.Set("summary", std::move(summary));
-  doc.Set("bit_identical", all_identical);
-
-  std::ofstream out("BENCH_snapshot.json");
-  out << doc.Dump(2) << "\n";
-  std::printf("wrote BENCH_snapshot.json\n");
-
   std::error_code ec;
   std::filesystem::remove_all(ScratchDir(), ec);
-  return (all_ok && all_identical && churn.invariant_held && target_met)
-             ? 0
-             : 1;
+  return report.Finish(flags.smoke);
 }

@@ -203,16 +203,27 @@ PrunePlan PlanPairwisePrune(const InsightClass& insight_class,
 
 }  // namespace
 
+InsightEngine::InsightEngine(const DataTable& table, EngineOptions& options)
+    : table_(&table),
+      registry_(options.registry.has_value()
+                    ? std::move(*options.registry)
+                    : InsightClassRegistry::CreateDefault()),
+      num_workers_(options.num_workers != 0
+                       ? options.num_workers
+                       : std::max<unsigned int>(
+                             1, std::thread::hardware_concurrency())) {
+  if (options.collect_metrics) {
+    metrics_ = std::make_shared<MetricsRegistry>();
+  }
+  if (num_workers_ > 1) {
+    pool_ = std::make_unique<ThreadPool>(num_workers_);
+    pool_->AttachMetrics(metrics_);
+  }
+}
+
 StatusOr<InsightEngine> InsightEngine::Create(const DataTable& table,
                                               EngineOptions options) {
-  InsightClassRegistry registry = options.registry.has_value()
-                                      ? std::move(*options.registry)
-                                      : InsightClassRegistry::CreateDefault();
-  InsightEngine engine(table, std::move(registry));
-  if (options.collect_metrics) {
-    engine.metrics_ = std::make_shared<MetricsRegistry>();
-  }
-  engine.set_num_workers(options.num_workers);
+  InsightEngine engine(table, options);
   engine.preprocess_options_ = options.preprocess;
   if (options.build_profile) {
     FORESIGHT_ASSIGN_OR_RETURN(
@@ -222,19 +233,6 @@ StatusOr<InsightEngine> InsightEngine::Create(const DataTable& table,
     if (engine.metrics_ != nullptr) engine.RecordProfileMetrics();
   }
   return engine;
-}
-
-void InsightEngine::set_num_workers(size_t workers) {
-  if (workers == 0) {
-    workers = std::max<unsigned int>(1, std::thread::hardware_concurrency());
-  }
-  if (workers == num_workers_ && (workers == 1 || pool_ != nullptr)) return;
-  num_workers_ = workers;
-  pool_ = workers > 1 ? std::make_unique<ThreadPool>(workers) : nullptr;
-  if (pool_ != nullptr) pool_->AttachMetrics(metrics_);
-  // Results are bit-identical across worker counts, but cached telemetry
-  // (elapsed_ms, parallel path taken) is not; invalidate conservatively.
-  engine_epoch_.fetch_add(1);
 }
 
 uint64_t InsightEngine::serving_epoch() const {
@@ -247,14 +245,7 @@ StatusOr<InsightEngine> InsightEngine::CreateFromProfile(
     return Status::InvalidArgument(
         "profile was not built from (or loaded against) this table");
   }
-  InsightClassRegistry resolved = options.registry.has_value()
-                                      ? std::move(*options.registry)
-                                      : InsightClassRegistry::CreateDefault();
-  InsightEngine engine(table, std::move(resolved));
-  if (options.collect_metrics) {
-    engine.metrics_ = std::make_shared<MetricsRegistry>();
-  }
-  engine.set_num_workers(options.num_workers);
+  InsightEngine engine(table, options);
   // Future appends and rebuild fallbacks must reproduce the adopted profile's
   // sketch geometry, not whatever options.preprocess carried.
   engine.preprocess_options_ = options.preprocess;

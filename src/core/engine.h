@@ -32,10 +32,10 @@ struct EngineOptions {
   /// Registry to use; when empty (default) the 12 built-in classes are used.
   /// Additional classes can be registered afterwards via mutable_registry().
   std::optional<InsightClassRegistry> registry;
-  /// Total threads for preprocessing, candidate evaluation, pairwise
-  /// overviews and carousel building (the paper's §5 future work: "parallel
-  /// search methods that speed up insight queries"). The engine owns one
-  /// persistent ThreadPool of this size; 0 (the default) resolves to
+  /// Total threads for preprocessing, candidate evaluation and pairwise
+  /// overviews (the paper's §5 future work: "parallel search methods that
+  /// speed up insight queries"). The engine owns one persistent ThreadPool
+  /// of this size, fixed for its life; 0 (the default) resolves to
   /// std::thread::hardware_concurrency(), 1 = serial. Results are
   /// bit-identical to serial execution regardless of worker count.
   size_t num_workers = 0;
@@ -151,10 +151,9 @@ class InsightEngine {
   const TableProfile& profile() const { return *profile_; }
 
   /// Monotonic invalidation epoch for the QuerySession result cache. Bumped
-  /// by mutable_registry() access, by set_num_workers(), and — via the
-  /// schema's mutation counter — by table tag/column changes and row appends
-  /// (AppendPartition), so a cached result can never outlive the state that
-  /// produced it.
+  /// by mutable_registry() access and — via the schema's mutation counter —
+  /// by table tag/column changes and row appends (AppendPartition), so a
+  /// cached result can never outlive the state that produced it.
   uint64_t serving_epoch() const;
 
   /// Appends `delta`'s rows to `table` — which must be the very table this
@@ -229,14 +228,12 @@ class InsightEngine {
       const std::string& class_name,
       const PairwiseOverviewOptions& options = {}) const;
 
-  /// Resolved worker-thread count used by every parallel path (>= 1).
+  /// Resolved worker-thread count used by every parallel path (>= 1), fixed
+  /// at construction by EngineOptions::num_workers.
   size_t num_workers() const { return num_workers_; }
-  /// Resizes the engine's thread pool; 0 = hardware_concurrency. Bumps the
-  /// serving epoch when the resolved count actually changes.
-  void set_num_workers(size_t workers);
 
   /// The engine-owned pool (nullptr when num_workers() == 1). Shared by
-  /// preprocessing, Execute, overviews, and the exploration session.
+  /// preprocessing, queries, overviews, and the HTTP front-end's job drain.
   ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// The engine's metrics registry — nullptr when the engine was built with
@@ -253,8 +250,9 @@ class InsightEngine {
   std::string DumpMetrics(MetricsFormat format = MetricsFormat::kJson) const;
 
  private:
-  InsightEngine(const DataTable& table, InsightClassRegistry registry)
-      : table_(&table), registry_(std::move(registry)) {}
+  /// Takes the registry, metrics and worker count from `options` (the
+  /// registry is moved out); the profile is the factories' job.
+  InsightEngine(const DataTable& table, EngineOptions& options);
 
   /// Resolves kAuto and validates the requested mode is available.
   StatusOr<ExecutionMode> ResolveMode(ExecutionMode mode) const;
@@ -324,10 +322,10 @@ class InsightEngine {
   size_t num_workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<MetricsRegistry> metrics_;
-  /// Engine-local slice of the serving epoch (registry/worker mutations); the
+  /// Engine-local slice of the serving epoch (registry mutations); the
   /// schema's mutation counter contributes the table-side slice. Atomic:
   /// serving threads read it through serving_epoch() concurrently with
-  /// mutable_registry() / set_* bumps on an administrative thread.
+  /// mutable_registry() bumps on an administrative thread.
   RelaxedAtomic<uint64_t> engine_epoch_{0};
 };
 

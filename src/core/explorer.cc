@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-
-#include "util/first_error.h"
-#include "util/thread_pool.h"
 
 namespace foresight {
 
@@ -66,56 +62,37 @@ StatusOr<std::vector<Carousel>> ExplorationSession::BuildCarousels(
                      (apply_focus ? std::max<size_t>(1, options_.pool_factor) : 1);
   const std::vector<std::string> names = engine_->registry().names();
 
-  // One carousel per class, built into position-indexed slots — fanned out
-  // on the engine's shared thread pool (each per-class query itself fans its
-  // candidate evaluations out on the same pool; ParallelFor is reentrant).
-  // Errors report the first class in registry order, matching a serial scan.
-  std::vector<std::optional<Carousel>> slots(names.size());
-  FirstError first_error;
-  auto build_class = [&](size_t class_begin, size_t class_end) {
-    for (size_t idx = class_begin; idx < class_end; ++idx) {
-      if (first_error.ShadowedAt(idx)) return;
-      StatusOr<Carousel> carousel = BuildOneCarousel(names[idx], pool_size,
-                                                     apply_focus);
-      if (!carousel.ok()) {
-        first_error.Record(idx, carousel.status());
-        return;
-      }
-      slots[idx] = std::move(*carousel);
-    }
-  };
-  ThreadPool* pool = engine_->thread_pool();
-  if (pool != nullptr && names.size() > 1) {
-    pool->ParallelFor(0, names.size(), 1, build_class);
-  } else {
-    build_class(0, names.size());
+  // One query per class, served as one batch through the serving layer:
+  // repeated carousel builds (initial view, every focus-driven
+  // re-recommendation) hit the result cache instead of re-evaluating the
+  // class, and the misses share one ExecuteBatch, which evaluates each
+  // class's candidates on the engine pool. A failure reports the first
+  // failing class in registry order. Focus re-ranking happens on the
+  // returned copies, so cached entries stay pristine.
+  std::vector<InsightQuery> queries(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    queries[i].class_name = names[i];
+    queries[i].top_k = pool_size;
+    queries[i].mode = options_.mode;
   }
-  if (first_error.has_error()) return first_error.status();
+  FORESIGHT_ASSIGN_OR_RETURN(std::vector<InsightQueryResult> results,
+                             query_session_->ExecuteBatch(queries));
   std::vector<Carousel> carousels;
   carousels.reserve(names.size());
-  for (std::optional<Carousel>& slot : slots) {
-    carousels.push_back(std::move(*slot));
+  for (size_t i = 0; i < names.size(); ++i) {
+    carousels.push_back(BuildOneCarousel(
+        names[i], std::move(results[i].insights), apply_focus));
   }
   return carousels;
 }
 
-StatusOr<Carousel> ExplorationSession::BuildOneCarousel(
-    const std::string& class_name, size_t pool_size, bool apply_focus) const {
-  const InsightClass* insight_class = engine_->registry().Find(class_name);
-  InsightQuery query;
-  query.class_name = class_name;
-  query.top_k = pool_size;
-  query.mode = options_.mode;
-  // Through the serving layer: repeated carousel builds (initial view, every
-  // focus-driven re-recommendation) hit the result cache instead of
-  // re-evaluating the class. Focus re-ranking below happens on the returned
-  // copy, so cached entries stay pristine.
-  FORESIGHT_ASSIGN_OR_RETURN(InsightQueryResult result,
-                             query_session_->Execute(query));
+Carousel ExplorationSession::BuildOneCarousel(const std::string& class_name,
+                                              std::vector<Insight> insights,
+                                              bool apply_focus) const {
   Carousel carousel;
   carousel.class_name = class_name;
-  carousel.display_name = insight_class->display_name();
-  carousel.insights = std::move(result.insights);
+  carousel.display_name = engine_->registry().Find(class_name)->display_name();
+  carousel.insights = std::move(insights);
 
   if (apply_focus && !carousel.insights.empty()) {
     // Re-rank the pool toward the focus neighborhood: blend base strength

@@ -90,14 +90,16 @@ class ExplorationSession {
                                                 const JsonValue& state);
 
  private:
-  /// Builds one carousel per registered class, fanned out on the engine's
-  /// thread pool; slot-indexed results keep registry order and a failure
-  /// reports the first failing class in that order (as a serial scan would).
+  /// Builds one carousel per registered class, in registry order, from one
+  /// QuerySession::ExecuteBatch of the per-class queries; a failure reports
+  /// the first failing class in that order.
   StatusOr<std::vector<Carousel>> BuildCarousels(bool apply_focus) const;
 
-  /// Builds the carousel for a single class (query + optional focus re-rank).
-  StatusOr<Carousel> BuildOneCarousel(const std::string& class_name,
-                                      size_t pool_size, bool apply_focus) const;
+  /// Turns one class's ranked `insights` into its carousel: optional focus
+  /// re-rank, then truncation to carousel_size.
+  Carousel BuildOneCarousel(const std::string& class_name,
+                            std::vector<Insight> insights,
+                            bool apply_focus) const;
 
   const InsightEngine* engine_;
   /// Set when this object owns its QuerySession (engine constructor);

@@ -25,9 +25,9 @@ struct QuerySessionOptions {
 /// as SeeDB's shared scans and Zenvisage's reuse layer.
 ///
 /// Thread safety: Execute/ExecuteBatch are const and safe to call
-/// concurrently (the cache is internally mutex-striped); the explorer's
-/// carousel fan-out issues its per-class queries through one session from
-/// many pool threads. Staleness safety: every cache entry is keyed to the
+/// concurrently (the cache is internally mutex-striped); the HTTP server's
+/// workers and every exploration session sharing one QuerySession serve
+/// through it at once. Staleness safety: every cache entry is keyed to the
 /// engine's serving epoch, which engine/table mutations bump, so a stale
 /// result can never be served. `engine` must outlive the session.
 class QuerySession {

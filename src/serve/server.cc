@@ -517,19 +517,14 @@ void HttpServer::Dispatch(uint64_t conn_id, HttpRequest request) {
     queue_depth_->Set(static_cast<double>(queue_.size()));
   }
   if (use_engine_pool_) {
+    // The engine's pool is fixed for its life, so a pool that had workers at
+    // Start still has them and Submit cannot refuse the tick.
     pool_ticks_active_.fetch_add(1, std::memory_order_acq_rel);
-    const bool submitted = session_->engine().thread_pool()->Submit([this] {
+    session_->engine().thread_pool()->Submit([this] {
       std::optional<Job> next = queue_.Pop();
       if (next.has_value()) RunJob(std::move(*next));
       pool_ticks_active_.fetch_sub(1, std::memory_order_acq_rel);
     });
-    if (!submitted) {
-      // The pool lost its workers after Start (not a supported reconfig);
-      // degrade to inline execution rather than strand the job.
-      pool_ticks_active_.fetch_sub(1, std::memory_order_acq_rel);
-      std::optional<Job> next = queue_.Pop();
-      if (next.has_value()) RunJob(std::move(*next));
-    }
   }
 }
 

@@ -13,9 +13,8 @@ namespace foresight {
 /// Collects the error of the LOWEST work-item index across concurrent
 /// workers, so a parallel run reports exactly the error a serial
 /// left-to-right scan would have hit first — regardless of thread timing.
-/// Shared by the engine's candidate/overview evaluation and the explorer's
-/// carousel fan-out (any position-indexed parallel loop with serial-identical
-/// error semantics).
+/// Used by the engine's candidate and overview evaluation (any
+/// position-indexed parallel loop with serial-identical error semantics).
 ///
 /// Leaf lock: Record/status hold mutex_ only across the index compare and
 /// Status copy; nothing else is acquired under it.

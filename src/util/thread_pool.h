@@ -22,8 +22,8 @@ class MetricsRegistry;
 /// `ParallelFor`. Replaces the previous per-query `std::thread` spawn/join
 /// (the threads outlive any single call, so a query pays zero thread-creation
 /// cost) and gives every hot path — preprocessing, candidate evaluation,
-/// pairwise overviews, carousel building — one shared, bounded set of
-/// threads instead of each layer spawning its own.
+/// pairwise overviews — one shared, bounded set of threads instead of each
+/// layer spawning its own.
 ///
 /// Scheduling model: work-sharing, not work-stealing. `ParallelFor` splits
 /// [begin, end) into fixed chunks of `grain` indices; idle workers (and the
@@ -33,10 +33,10 @@ class MetricsRegistry;
 /// results into position-indexed slots get run-to-run identical output.
 ///
 /// Reentrancy: `ParallelFor` may be called from inside a task running on this
-/// pool (e.g. the explorer fans out per-class queries, and each query fans
-/// out per-candidate evaluation). The calling thread always participates in
-/// executing its own chunks, so nested calls make progress even when every
-/// worker is busy — there is no deadlock by construction.
+/// pool (e.g. a query served by a Submit-ted HTTP job fans out its candidate
+/// evaluation). The calling thread always participates in executing its own
+/// chunks, so nested calls make progress even when every worker is busy —
+/// there is no deadlock by construction.
 class ThreadPool {
  public:
   /// `num_threads` is the total parallelism (including the calling thread of

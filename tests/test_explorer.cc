@@ -1,5 +1,9 @@
 #include "core/explorer.h"
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
@@ -180,6 +184,89 @@ TEST_F(ExplorerTest, LoadStateWithEmptyObjectYieldsDefaultSession) {
   auto session = ExplorationSession::LoadState(*engine_, *empty);
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(session->focused().empty());
+}
+
+TEST_F(ExplorerTest, InitialCarouselsMatchEachClassExecute) {
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    EngineOptions options;
+    options.preprocess.sketch.hyperplane_bits = 512;
+    options.num_workers = workers;
+    auto engine = InsightEngine::Create(*table_, std::move(options));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ExplorationSession session(*engine);
+    auto carousels = session.InitialCarousels();
+    ASSERT_TRUE(carousels.ok()) << carousels.status();
+    const std::vector<std::string> names = engine->registry().names();
+    ASSERT_EQ(carousels->size(), names.size());
+    for (size_t c = 0; c < names.size(); ++c) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + " class " +
+                   names[c]);
+      InsightQuery query;
+      query.class_name = names[c];
+      query.top_k = session.options().carousel_size;
+      auto expected = engine->Execute(query);
+      ASSERT_TRUE(expected.ok()) << expected.status();
+      const Carousel& carousel = (*carousels)[c];
+      EXPECT_EQ(carousel.class_name, names[c]);
+      ASSERT_EQ(carousel.insights.size(), expected->insights.size());
+      for (size_t i = 0; i < carousel.insights.size(); ++i) {
+        const Insight& got = carousel.insights[i];
+        const Insight& want = expected->insights[i];
+        EXPECT_EQ(got.metric_name, want.metric_name) << "#" << i;
+        EXPECT_EQ(got.attributes.indices, want.attributes.indices) << "#" << i;
+        EXPECT_EQ(got.raw_value, want.raw_value) << "#" << i;
+        EXPECT_EQ(got.score, want.score) << "#" << i;
+      }
+    }
+  }
+}
+
+/// Insight class whose evaluation fails for every candidate, with a distinct
+/// message per candidate, so a test can tell WHICH error was reported.
+class FailingClass final : public InsightClass {
+ public:
+  std::string name() const override { return "failing_class"; }
+  std::string display_name() const override { return "Failing"; }
+  size_t arity() const override { return 1; }
+  std::vector<std::string> metric_names() const override { return {"fail"}; }
+  std::vector<AttributeTuple> EnumerateCandidates(
+      const DataTable& table) const override {
+    std::vector<AttributeTuple> tuples;
+    for (size_t c : table.NumericColumnIndices()) {
+      tuples.push_back(AttributeTuple{{c}});
+    }
+    return tuples;
+  }
+  StatusOr<double> EvaluateExact(const DataTable&, const AttributeTuple& tuple,
+                                 const std::string&) const override {
+    return Status::Internal("candidate " + std::to_string(tuple.indices[0]) +
+                            " exploded");
+  }
+  VisualizationKind visualization() const override {
+    return VisualizationKind::kHistogram;
+  }
+};
+
+TEST_F(ExplorerTest, FailingClassReportsItsLowestIndexError) {
+  const Status expected = Status::Internal(
+      "candidate " + std::to_string(table_->NumericColumnIndices().front()) +
+      " exploded");
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    EngineOptions options;
+    options.build_profile = false;
+    options.num_workers = workers;
+    auto engine = InsightEngine::Create(*table_, std::move(options));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE(engine->mutable_registry()
+                    .Register(std::make_unique<FailingClass>())
+                    .ok());
+    // Thread timing varies; the reported error must not.
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      ExplorationSession session(*engine);
+      EXPECT_EQ(session.InitialCarousels().status(), expected)
+          << "workers " << workers << " repeat " << repeat;
+    }
+  }
 }
 
 }  // namespace

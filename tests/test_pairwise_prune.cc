@@ -23,10 +23,10 @@ namespace {
 
 constexpr size_t kBits = 2048;  // Tight Hoeffding bounds so pruning triggers.
 
-InsightEngine MakeEngine(const DataTable& table) {
+InsightEngine MakeEngine(const DataTable& table, size_t workers = 1) {
   EngineOptions options;
   options.preprocess.sketch.hyperplane_bits = kBits;
-  options.num_workers = 1;
+  options.num_workers = workers;
   auto engine = InsightEngine::Create(table, std::move(options));
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(*engine);
@@ -103,14 +103,13 @@ TEST(PairwisePruneTest, TopKBitIdenticalAcrossSeeds) {
 
 TEST(PairwisePruneTest, WorkerCountsPreserveEquivalence) {
   DataTable table = MakeCorrelatedBlocks(3000, 24, 4, 0.7, 7);
-  InsightEngine engine = MakeEngine(table);
   InsightQuery query = ExactTopK(10);
 
   auto exhaustive = ExecuteExhaustive(table, query);
   ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
 
   for (size_t workers : {size_t{1}, size_t{8}}) {
-    engine.set_num_workers(workers);
+    InsightEngine engine = MakeEngine(table, workers);
     auto pruned = engine.Execute(query);
     ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
     ExpectSameRanking(*pruned, *exhaustive);
@@ -293,9 +292,9 @@ TEST(PairwisePruneTest, OverviewRefinedCellsBitIdenticalPrunedCellsBounded) {
 
   std::vector<double> serial_matrix;
   for (size_t workers : {size_t{1}, size_t{8}}) {
-    engine.set_num_workers(workers);
-    auto pruned =
-        engine.ComputePairwiseOverview("linear_relationship", pruned_options);
+    InsightEngine engine_at_workers = MakeEngine(table, workers);
+    auto pruned = engine_at_workers.ComputePairwiseOverview(
+        "linear_relationship", pruned_options);
     ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
     ASSERT_TRUE(pruned->prune.used);
     const size_t d = pruned->attribute_names.size();
@@ -386,15 +385,13 @@ TEST(PairwisePruneTest, BatchMembersPruneLikeSingleQueries) {
     expected.push_back(std::move(*reference));
   }
   // A profile-less engine has no sketches, so the sketch member's reference
-  // is the profiled engine's own lone Execute.
-  engine.set_num_workers(1);
+  // is the serial profiled engine's own lone Execute.
   auto sketch_reference = engine.Execute(sketch);
   ASSERT_TRUE(sketch_reference.ok()) << sketch_reference.status().ToString();
   expected.push_back(std::move(*sketch_reference));
 
   for (size_t workers : {size_t{1}, size_t{8}}) {
-    engine.set_num_workers(workers);
-    auto results = engine.ExecuteBatch(batch);
+    auto results = MakeEngine(table, workers).ExecuteBatch(batch);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     ASSERT_EQ(results->size(), batch.size());
     for (size_t q = 0; q < batch.size(); ++q) {

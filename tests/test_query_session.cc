@@ -210,19 +210,6 @@ TEST_F(QuerySessionTest, RegistryMutationInvalidates) {
   EXPECT_GE(stats.invalidations, 1u);
 }
 
-TEST_F(QuerySessionTest, WorkerChangeInvalidates) {
-  QuerySession session(*engine_);
-  InsightQuery query = LinearQuery();
-  ASSERT_TRUE(session.Execute(query).ok());
-
-  engine_->set_num_workers(engine_->num_workers() == 1 ? 2 : 1);
-
-  auto result = session.Execute(query);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->cache_hit);
-  EXPECT_GE(session.cache_stats().invalidations, 1u);
-}
-
 TEST_F(QuerySessionTest, TagChangeInvalidates) {
   QuerySession session(*engine_);
   InsightQuery query = LinearQuery();
@@ -308,13 +295,17 @@ std::vector<InsightQuery> OverlappingWorkload() {
 
 TEST_F(QuerySessionTest, ExecuteBatchBitIdenticalToSequential) {
   for (size_t workers : {size_t{1}, size_t{8}}) {
-    engine_->set_num_workers(workers);
+    EngineOptions options;
+    options.preprocess.sketch.hyperplane_bits = 256;
+    options.num_workers = workers;
+    auto engine = InsightEngine::Create(table_, std::move(options));
+    ASSERT_TRUE(engine.ok()) << engine.status();
     std::vector<InsightQuery> queries = OverlappingWorkload();
-    auto batch = engine_->ExecuteBatch(queries);
+    auto batch = engine->ExecuteBatch(queries);
     ASSERT_TRUE(batch.ok()) << batch.status();
     ASSERT_EQ(batch->size(), queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
-      auto single = engine_->Execute(queries[q]);
+      auto single = engine->Execute(queries[q]);
       ASSERT_TRUE(single.ok()) << single.status();
       ExpectSamePayload(*single, (*batch)[q],
                         "workers=" + std::to_string(workers) + " query #" +
