@@ -155,21 +155,20 @@ void MeasureWorkload(const Workload& w, BenchReport* report) {
   for (size_t workers : {size_t{1}, kParallelWorkers}) {
     const std::string at = label + ", " + std::to_string(workers) + " workers";
     ThreadPool pool(workers);
-    ThreadPool* pool_ptr = workers > 1 ? &pool : nullptr;
 
     DataTable table = base.Clone();
     PreprocessOptions options;
     TableProfile appended = ValueOrExit(
-        Preprocessor::Profile(table, options, pool_ptr), at + " base profile");
+        Preprocessor::Profile(table, options, &pool), at + " base profile");
     ExitIfError(table.AppendRows(delta), at + " AppendRows");
     ExitIfError(Preprocessor::AppendToProfile(table, w.base_rows, options,
-                                              &appended, pool_ptr),
+                                              &appended, &pool),
                 at + " delta merge");
 
     PreprocessOptions rebuild_options;
     rebuild_options.partition_boundaries = {w.base_rows, grown_rows};
     TableProfile rebuilt =
-        ValueOrExit(Preprocessor::Profile(table, rebuild_options, pool_ptr),
+        ValueOrExit(Preprocessor::Profile(table, rebuild_options, &pool),
                     at + " partitioned rebuild");
 
     if (ComparableProfileJson(appended) != ComparableProfileJson(rebuilt)) {

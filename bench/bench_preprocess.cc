@@ -63,9 +63,8 @@ std::string ProfileRun(const DataTable& table, const std::string& shape,
   for (int rep = 0; rep < reps; ++rep) {
     profile.reset();
     best.Time([&] {
-      profile = ValueOrExit(
-          Preprocessor::Profile(table, options, workers > 1 ? &pool : nullptr),
-          label);
+      profile =
+          ValueOrExit(Preprocessor::Profile(table, options, &pool), label);
     });
   }
   const std::string fingerprint = ComparableProfileJson(*profile);

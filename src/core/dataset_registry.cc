@@ -25,12 +25,16 @@ StatusOr<std::shared_ptr<ResidentDataset>> ResidentDataset::Load(
   engine_options.num_workers = options.num_workers;
   engine_options.collect_metrics = options.collect_metrics;
 
-  std::optional<TableProfile> profile;
   if (!spec.snapshot_path.empty()) {
     StatusOr<TableProfile> loaded =
         LoadProfileSnapshotFile(dataset->table_, spec.snapshot_path);
     if (loaded.ok()) {
-      profile.emplace(std::move(loaded).value());
+      FORESIGHT_ASSIGN_OR_RETURN(
+          InsightEngine engine,
+          InsightEngine::CreateFromProfile(dataset->table_,
+                                           std::move(loaded).value(),
+                                           std::move(engine_options)));
+      dataset->engine_.emplace(std::move(engine));
       dataset->from_snapshot_ = true;
     } else {
       // Snapshots are a cache: a corrupt or shape-stale file downgrades to a
@@ -42,19 +46,14 @@ StatusOr<std::shared_ptr<ResidentDataset>> ResidentDataset::Load(
                    loaded.status().ToString().c_str());
     }
   }
-  if (!profile.has_value()) {
+  if (!dataset->engine_.has_value()) {
+    // The rebuild profiles on the engine's own pool, so the dataset's worker
+    // count reaches preprocessing too.
     FORESIGHT_ASSIGN_OR_RETURN(
-        TableProfile rebuilt,
-        Preprocessor::Profile(dataset->table_, engine_options.preprocess,
-                              nullptr));
-    profile.emplace(std::move(rebuilt));
+        InsightEngine engine,
+        InsightEngine::Create(dataset->table_, std::move(engine_options)));
+    dataset->engine_.emplace(std::move(engine));
   }
-
-  FORESIGHT_ASSIGN_OR_RETURN(
-      InsightEngine engine,
-      InsightEngine::CreateFromProfile(dataset->table_, std::move(*profile),
-                                       std::move(engine_options)));
-  dataset->engine_.emplace(std::move(engine));
   dataset->session_.emplace(*dataset->engine_,
                             QuerySessionOptions{options.cache});
   dataset->resident_bytes_.store(

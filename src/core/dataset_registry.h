@@ -41,7 +41,8 @@ struct DatasetRegistryOptions {
   /// resident bytes never exceed the budget; a single dataset larger than
   /// the whole budget is served unpinned (loaded, used, dropped).
   size_t memory_budget_bytes = 0;
-  /// Worker threads per resident engine. Defaults to 1 (serial): a node
+  /// Worker threads per resident engine, which also builds the profile when
+  /// a dataset has no usable snapshot. Defaults to 1 (serial): a node
   /// holding hundreds of datasets must not spin up hundreds of
   /// hardware-sized thread pools. 0 = hardware concurrency.
   size_t num_workers = 1;

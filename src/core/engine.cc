@@ -7,7 +7,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "util/first_error.h"
 #include "util/timer.h"
@@ -208,18 +207,9 @@ InsightEngine::InsightEngine(const DataTable& table, EngineOptions& options)
       registry_(options.registry.has_value()
                     ? std::move(*options.registry)
                     : InsightClassRegistry::CreateDefault()),
-      num_workers_(options.num_workers != 0
-                       ? options.num_workers
-                       : std::max<unsigned int>(
-                             1, std::thread::hardware_concurrency())) {
-  if (options.collect_metrics) {
-    metrics_ = std::make_shared<MetricsRegistry>();
-  }
-  if (num_workers_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_workers_);
-    pool_->AttachMetrics(metrics_);
-  }
-}
+      metrics_(options.collect_metrics ? std::make_shared<MetricsRegistry>()
+                                       : nullptr),
+      pool_(std::make_unique<ThreadPool>(options.num_workers, metrics_)) {}
 
 StatusOr<InsightEngine> InsightEngine::Create(const DataTable& table,
                                               EngineOptions options) {
@@ -365,16 +355,9 @@ Status InsightEngine::EvaluateCandidates(
   // failing position, so the outcome is identical to serial execution
   // regardless of worker count (§5 future work).
   raw_values->assign(size, 0.0);
-  if (pool_ == nullptr || positions.size() < 2) {
-    for (size_t i : positions) {
-      FORESIGHT_ASSIGN_OR_RETURN(
-          (*raw_values)[i], Evaluate(insight_class, tuple_at(i), metric, mode));
-    }
-    return Status::OK();
-  }
   FirstError first_error;
   pool_->ParallelFor(
-      0, positions.size(), BalancedGrain(positions.size(), num_workers_),
+      0, positions.size(), BalancedGrain(positions.size(), num_workers()),
       [&](size_t chunk_begin, size_t chunk_end) {
         for (size_t k = chunk_begin; k < chunk_end; ++k) {
           if (first_error.ShadowedAt(k)) return;

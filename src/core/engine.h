@@ -34,10 +34,11 @@ struct EngineOptions {
   std::optional<InsightClassRegistry> registry;
   /// Total threads for preprocessing, candidate evaluation and pairwise
   /// overviews (the paper's §5 future work: "parallel search methods that
-  /// speed up insight queries"). The engine owns one persistent ThreadPool
-  /// of this size, fixed for its life; 0 (the default) resolves to
-  /// std::thread::hardware_concurrency(), 1 = serial. Results are
-  /// bit-identical to serial execution regardless of worker count.
+  /// speed up insight queries"). The engine always owns one persistent
+  /// ThreadPool of this size, fixed for its life; 0 (the default) resolves to
+  /// std::thread::hardware_concurrency(), and 1 is a pool that spawns no
+  /// threads and runs everything inline. Results are bit-identical to serial
+  /// execution regardless of worker count.
   size_t num_workers = 0;
 };
 
@@ -230,10 +231,11 @@ class InsightEngine {
 
   /// Resolved worker-thread count used by every parallel path (>= 1), fixed
   /// at construction by EngineOptions::num_workers.
-  size_t num_workers() const { return num_workers_; }
+  size_t num_workers() const { return pool_->num_threads(); }
 
-  /// The engine-owned pool (nullptr when num_workers() == 1). Shared by
-  /// preprocessing, queries, overviews, and the HTTP front-end's job drain.
+  /// The engine-owned pool; never null. A one-worker engine's pool spawns no
+  /// threads and runs every ParallelFor inline. Shared by preprocessing,
+  /// queries, overviews, and the HTTP front-end's job drain.
   ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// The engine's metrics registry — nullptr when the engine was built with
@@ -272,7 +274,7 @@ class InsightEngine {
 
   /// Evaluates item i for each i in `positions` (ascending) into
   /// (*raw_values)[i] of `size` values (0 where not evaluated); `tuple_at(i)`
-  /// yields item i's tuple. Serial, or on the pool with serial-identical
+  /// yields item i's tuple. Runs on the pool with serial-identical
   /// first-error semantics. The one evaluator: queries read their enumerated
   /// candidates, and overviews build each cell's tuple on the worker.
   template <typename TupleAt>
@@ -319,9 +321,9 @@ class InsightEngine {
   /// The options the profile was (or would be) built with; AppendPartition
   /// reuses them for delta ingestion and for the full-rebuild fallback.
   PreprocessOptions preprocess_options_;
-  size_t num_workers_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
+  /// Declared before pool_, which is built with it.
   std::shared_ptr<MetricsRegistry> metrics_;
+  std::unique_ptr<ThreadPool> pool_;
   /// Engine-local slice of the serving epoch (registry mutations); the
   /// schema's mutation counter contributes the table-side slice. Atomic:
   /// serving threads read it through serving_epoch() concurrently with

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 namespace foresight {
 
@@ -158,9 +160,21 @@ StatusOr<ExplorationSession> ExplorationSession::LoadState(
   }
   ExplorationOptions options;
   if (const JsonValue* opts = state.Get("options"); opts && opts->is_object()) {
-    if (const JsonValue* v = opts->Get("carousel_size"); v && v->is_number()) {
-      options.carousel_size = static_cast<size_t>(v->as_number());
-    }
+    // Count options must be whole numbers; absent or non-number entries keep
+    // their defaults.
+    auto read_size = [opts](const char* key, size_t* out) -> Status {
+      const JsonValue* v = opts->Get(key);
+      if (v == nullptr || !v->is_number()) return Status::OK();
+      std::optional<size_t> size = SizeFromJsonNumber(v->as_number());
+      if (!size.has_value()) {
+        return Status::ParseError(std::string(key) +
+                                  " must be a non-negative whole number");
+      }
+      *out = *size;
+      return Status::OK();
+    };
+    FORESIGHT_RETURN_IF_ERROR(
+        read_size("carousel_size", &options.carousel_size));
     if (const JsonValue* v = opts->Get("attribute_weight"); v && v->is_number()) {
       options.attribute_weight = v->as_number();
     }
@@ -170,9 +184,8 @@ StatusOr<ExplorationSession> ExplorationSession::LoadState(
     if (const JsonValue* v = opts->Get("focus_boost"); v && v->is_number()) {
       options.focus_boost = v->as_number();
     }
-    if (const JsonValue* v = opts->Get("pool_factor"); v && v->is_number()) {
-      options.pool_factor = static_cast<size_t>(v->as_number());
-    }
+    FORESIGHT_RETURN_IF_ERROR(
+        read_size("pool_factor", &options.pool_factor));
   }
   ExplorationSession session(engine, options);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -21,8 +22,8 @@ namespace {
 /// Splits `items` into one contiguous block per pool thread. For the numeric
 /// column blocks, fewer and wider blocks mean fewer panel acquisitions per
 /// partition and fuller four-column groups for the grouped kernel.
-size_t BlockGrain(size_t items, const ThreadPool* pool) {
-  size_t threads = pool == nullptr ? 1 : pool->num_threads();
+size_t BlockGrain(size_t items, const ThreadPool& pool) {
+  size_t threads = pool.num_threads();
   return std::max<size_t>(1, (items + threads - 1) / threads);
 }
 
@@ -129,7 +130,7 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
                                     const std::vector<size_t>& cat_cols,
                                     const RowRanges& ranges,
                                     const PreprocessOptions& options,
-                                    ThreadPool* pool) {
+                                    ThreadPool& pool) {
   ColumnSketchSet result;
   size_t n = table.num_rows();
   size_t parts = ranges.size();
@@ -221,8 +222,7 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
               group_columns.size(), *panel, rb, re);
           for (size_t i : null_cols) {
             builder.AccumulateNumericBlocked(*numeric_ptrs[i], *panel, rb,
-                                             re, target[offset + i], scratch,
-                                             /*skip_ones=*/false);
+                                             re, target[offset + i], scratch);
           }
           if (ones_rider) {
             builder.AccumulateSharedOnes(*panel, rb, re, shared_ones[p]);
@@ -231,11 +231,7 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
         }
       }
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(0, parts * num_cb, 1, run_tiles);
-    } else {
-      run_tiles(0, parts * num_cb);
-    }
+    pool.ParallelFor(0, parts * num_cb, 1, run_tiles);
     // Install the shared ones totals into every fully-valid column's
     // (partial) sketch — bit-identical to self-accumulation, and done
     // before merging so partials carry complete accumulators.
@@ -259,11 +255,7 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
           }
         }
       };
-      if (pool != nullptr) {
-        pool->ParallelFor(0, n_num, BlockGrain(n_num, pool), merge_columns);
-      } else {
-        merge_columns(0, n_num);
-      }
+      pool.ParallelFor(0, n_num, BlockGrain(n_num, pool), merge_columns);
     }
   }
 
@@ -289,11 +281,7 @@ ColumnSketchSet BuildColumnSketches(const DataTable& table,
       }
     }
   };
-  if (pool != nullptr && cat_cols.size() > 1) {
-    pool->ParallelFor(0, cat_cols.size(), 1, run_categorical);
-  } else {
-    run_categorical(0, cat_cols.size());
-  }
+  pool.ParallelFor(0, cat_cols.size(), 1, run_categorical);
   return result;
 }
 
@@ -428,6 +416,9 @@ JsonValue TableProfile::ToJson() const {
 StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
                                                  const JsonValue& json,
                                                  ThreadPool* pool) {
+  // A one-thread pool spawns nothing and runs every ParallelFor inline.
+  std::optional<ThreadPool> serial;
+  ThreadPool& workers = pool != nullptr ? *pool : serial.emplace(1);
   const JsonValue* format = json.Get("format");
   if (format == nullptr || !format->is_string() ||
       format->as_string() != "foresight.profile") {
@@ -435,7 +426,7 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
   }
   const JsonValue* num_rows = json.Get("num_rows");
   if (num_rows == nullptr || !num_rows->is_number() ||
-      static_cast<size_t>(num_rows->as_number()) != table.num_rows()) {
+      SizeFromJsonNumber(num_rows->as_number()) != table.num_rows()) {
     return Status::InvalidArgument(
         "profile row count does not match the table");
   }
@@ -458,11 +449,14 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
     return Status::ParseError("missing sampled_rows");
   }
   auto append_row = [&](double value) -> Status {
-    size_t row = static_cast<size_t>(value);
-    if (row >= table.num_rows()) {
+    std::optional<size_t> row = SizeFromJsonNumber(value);
+    if (!row.has_value()) {
+      return Status::ParseError("sampled_rows entries must be whole numbers");
+    }
+    if (*row >= table.num_rows()) {
       return Status::OutOfRange("sampled row out of range");
     }
-    profile.sampled_rows_.push_back(row);
+    profile.sampled_rows_.push_back(*row);
     return Status::OK();
   };
   if (const std::vector<double>* packed = rows->packed_numbers()) {
@@ -565,7 +559,7 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
     }
   }
 
-  MaterializeSamples(table, profile, pool,
+  MaterializeSamples(table, profile, workers,
                      preset_ranks.empty() ? nullptr : &preset_ranks);
   return profile;
 }
@@ -573,6 +567,9 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
 StatusOr<TableProfile> Preprocessor::Profile(const DataTable& table,
                                              const PreprocessOptions& options,
                                              ThreadPool* pool) {
+  // A one-thread pool spawns nothing and runs every ParallelFor inline.
+  std::optional<ThreadPool> serial;
+  ThreadPool& workers = pool != nullptr ? *pool : serial.emplace(1);
   if (table.num_columns() == 0) {
     return Status::InvalidArgument("cannot profile a table with no columns");
   }
@@ -593,7 +590,7 @@ StatusOr<TableProfile> Preprocessor::Profile(const DataTable& table,
   std::vector<size_t> numeric_cols = table.NumericColumnIndices();
   std::vector<size_t> cat_cols = table.CategoricalColumnIndices();
   ColumnSketchSet sketches = BuildColumnSketches(
-      table, builder, numeric_cols, cat_cols, ranges, options, pool);
+      table, builder, numeric_cols, cat_cols, ranges, options, workers);
   profile.panel_stats_ = sketches.panel_stats;
 
   size_t n_num = numeric_cols.size();
@@ -602,11 +599,7 @@ StatusOr<TableProfile> Preprocessor::Profile(const DataTable& table,
       builder.FinalizeNumeric(sketches.numeric[i]);
     }
   };
-  if (pool != nullptr && n_num > 1) {
-    pool->ParallelFor(0, n_num, BlockGrain(n_num, pool), finalize_columns);
-  } else {
-    finalize_columns(0, n_num);
-  }
+  workers.ParallelFor(0, n_num, BlockGrain(n_num, workers), finalize_columns);
   for (size_t i = 0; i < n_num; ++i) {
     profile.numeric_.emplace(numeric_cols[i], std::move(sketches.numeric[i]));
   }
@@ -616,7 +609,7 @@ StatusOr<TableProfile> Preprocessor::Profile(const DataTable& table,
   }
 
   profile.sampled_rows_ = ComputeSampledRows(table.num_rows(), options);
-  MaterializeSamples(table, profile, pool);
+  MaterializeSamples(table, profile, workers);
 
   profile.preprocess_seconds_ = timer.ElapsedSeconds();
   return profile;
@@ -626,6 +619,9 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
                                      const PreprocessOptions& options,
                                      TableProfile* profile, ThreadPool* pool) {
   FORESIGHT_CHECK(profile != nullptr);
+  // A one-thread pool spawns nothing and runs every ParallelFor inline.
+  std::optional<ThreadPool> serial;
+  ThreadPool& workers = pool != nullptr ? *pool : serial.emplace(1);
   if (profile->table_ != &table) {
     return Status::InvalidArgument(
         "AppendToProfile requires the table the profile was built from");
@@ -672,7 +668,7 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
   // two are bit-identical (see the contract in profile.h).
   RowRanges delta_range{{old_rows, n}};
   ColumnSketchSet delta = BuildColumnSketches(
-      table, *builder, numeric_cols, cat_cols, delta_range, options, pool);
+      table, *builder, numeric_cols, cat_cols, delta_range, options, workers);
 
   size_t n_num = numeric_cols.size();
   auto merge_numeric = [&](size_t col_begin, size_t col_end) {
@@ -682,11 +678,7 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
       builder->FinalizeNumeric(sketch);
     }
   };
-  if (pool != nullptr && n_num > 1) {
-    pool->ParallelFor(0, n_num, BlockGrain(n_num, pool), merge_numeric);
-  } else {
-    merge_numeric(0, n_num);
-  }
+  workers.ParallelFor(0, n_num, BlockGrain(n_num, workers), merge_numeric);
   for (size_t i = 0; i < cat_cols.size(); ++i) {
     profile->categorical_.at(cat_cols[i]).Merge(delta.categorical[i]);
   }
@@ -697,7 +689,7 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
   profile->sampled_numeric_.clear();
   profile->sampled_ranks_.clear();
   profile->sampled_codes_.clear();
-  MaterializeSamples(table, *profile, pool);
+  MaterializeSamples(table, *profile, workers);
 
   profile->builder_ = std::move(builder);
   profile->panel_stats_ = delta.panel_stats;
@@ -706,7 +698,7 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
 }
 
 void Preprocessor::MaterializeSamples(
-    const DataTable& table, TableProfile& profile, ThreadPool* pool,
+    const DataTable& table, TableProfile& profile, ThreadPool& pool,
     const std::unordered_map<size_t, std::vector<double>>*
         preset_present_ranks) {
   // Extraction (and rank computation) runs per-column in parallel into
@@ -775,11 +767,7 @@ void Preprocessor::MaterializeSamples(
       }
     }
   };
-  if (pool != nullptr && table.num_columns() > 1) {
-    pool->ParallelFor(0, table.num_columns(), 1, materialize_columns);
-  } else {
-    materialize_columns(0, table.num_columns());
-  }
+  pool.ParallelFor(0, table.num_columns(), 1, materialize_columns);
   for (size_t c = 0; c < table.num_columns(); ++c) {
     if (table.column(c).type() == ColumnType::kNumeric) {
       profile.sampled_ranks_.emplace(c, std::move(slots[c].ranks));

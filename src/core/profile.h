@@ -124,15 +124,16 @@ struct PreprocessOptions {
 class Preprocessor {
  public:
   /// Profiles every column of `table`. The returned profile references
-  /// `table`, which must outlive it. When `pool` is non-null the per-column
-  /// sketch bundles (and, with num_partitions > 1, the per-partition partials
-  /// feeding each merge) are built in parallel on it; because every row's
-  /// random hyperplane/projection components derive only from (seed, row) and
-  /// each column's sketches see their rows in the same order either way, the
-  /// resulting profile is bit-identical to the serial one — across worker
-  /// counts and panel block sizes, for any fixed partition layout. (Different
-  /// partition layouts are statistically equivalent but not bit-identical:
-  /// merging independently-built sketches reassociates floating-point sums.)
+  /// `table`, which must outlive it. The per-column sketch bundles (and, with
+  /// num_partitions > 1, the per-partition partials feeding each merge) are
+  /// built on `pool`; a null `pool` runs on a one-thread pool, inline.
+  /// Because every row's random hyperplane/projection components derive only
+  /// from (seed, row) and each column's sketches see their rows in the same
+  /// order either way, the resulting profile is bit-identical to the serial
+  /// one — across worker counts and panel block sizes, for any fixed
+  /// partition layout. (Different partition layouts are statistically
+  /// equivalent but not bit-identical: merging independently-built sketches
+  /// reassociates floating-point sums.)
   static StatusOr<TableProfile> Profile(const DataTable& table,
                                         const PreprocessOptions& options = {},
                                         ThreadPool* pool = nullptr);
@@ -148,7 +149,8 @@ class Preprocessor {
   /// size), so it is recomputed and rematerialized outright.
   ///
   /// The delta uses the profile's own sketch geometry (options.sketch is
-  /// ignored); options supplies the panel block size and sample size.
+  /// ignored); options supplies the panel block size and sample size. The
+  /// work runs on `pool`; a null `pool` runs inline.
   /// Returns FailedPrecondition when the auto-resolved hyperplane width
   /// changes at the new row count — sketches of different widths cannot
   /// merge — in which case the profile is untouched and the caller should
@@ -161,22 +163,22 @@ class Preprocessor {
 
   /// Restores a profile persisted by TableProfile::ToJson against `table`
   /// (which must be the table it was built from: column names/types and row
-  /// count are validated). The table must outlive the profile. When `pool` is
-  /// non-null the sample vectors rematerialize in parallel; the restored
-  /// profile is bit-identical either way (see MaterializeSamples).
+  /// count are validated). The table must outlive the profile. The sample
+  /// vectors rematerialize on `pool` (a null `pool` runs inline); the
+  /// restored profile is bit-identical either way (see MaterializeSamples).
   static StatusOr<TableProfile> LoadProfile(const DataTable& table,
                                             const JsonValue& json,
                                             ThreadPool* pool = nullptr);
 
  private:
   /// Fills sampled_numeric_/sampled_ranks_/sampled_codes_ from sampled_rows_,
-  /// optionally extracting columns in parallel (map insertion stays ordered).
+  /// extracting columns on `pool` (map insertion stays ordered).
   /// `preset_present_ranks` maps column index -> the non-null sample's
   /// midranks (as persisted under "sample_ranks"); a matching entry replaces
   /// the rank sort for that column, a missing or length-mismatched one falls
   /// back to the canonical recompute.
   static void MaterializeSamples(
-      const DataTable& table, TableProfile& profile, ThreadPool* pool = nullptr,
+      const DataTable& table, TableProfile& profile, ThreadPool& pool,
       const std::unordered_map<size_t, std::vector<double>>*
           preset_present_ranks = nullptr);
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "core/insight_class.h"
 #include "data/table.h"
@@ -184,16 +185,16 @@ StatusOr<InsightQuery> InsightQuery::FromJson(const JsonValue& json) {
       }
       query.metric = value.as_string();
     } else if (key == "top_k") {
-      // 1e9 caps the count far above any real table's candidate space while
-      // staying exactly representable, so the integrality check is reliable.
-      constexpr double kMaxTopK = 1e9;
-      const double raw = value.is_number() ? value.as_number() : -1.0;
-      if (!value.is_number() || raw < 0.0 || raw > kMaxTopK ||
-          raw != std::floor(raw)) {
+      // 1e9 caps the count far above any real table's candidate space.
+      constexpr size_t kMaxTopK = 1'000'000'000;
+      const std::optional<size_t> top_k =
+          value.is_number() ? SizeFromJsonNumber(value.as_number())
+                            : std::nullopt;
+      if (!top_k.has_value() || *top_k > kMaxTopK) {
         return Status::InvalidArgument(
             "top_k must be an integer in [0, 1e9]");
       }
-      query.top_k = static_cast<size_t>(raw);
+      query.top_k = *top_k;
     } else if (key == "fixed_attributes") {
       FORESIGHT_RETURN_IF_ERROR(
           ReadStringArray(value, "fixed_attributes", query.fixed_attributes));

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "util/json.h"
@@ -131,8 +132,14 @@ StatusOr<SnapshotInfo> DecodeHeader(std::string_view header_bytes,
       !num_columns->is_number()) {
     return Status::ParseError("snapshot header missing row/column counts");
   }
-  info.num_rows = static_cast<size_t>(num_rows->as_number());
-  info.num_columns = static_cast<size_t>(num_columns->as_number());
+  std::optional<size_t> rows = SizeFromJsonNumber(num_rows->as_number());
+  std::optional<size_t> cols = SizeFromJsonNumber(num_columns->as_number());
+  if (!rows.has_value() || !cols.has_value()) {
+    return Status::ParseError(
+        "snapshot header row/column counts must be whole numbers");
+  }
+  info.num_rows = *rows;
+  info.num_columns = *cols;
   const JsonValue* columns = header.Get("columns");
   if (columns == nullptr || !columns->is_array() ||
       columns->size() != info.num_columns) {
@@ -147,7 +154,13 @@ StatusOr<SnapshotInfo> DecodeHeader(std::string_view header_bytes,
   }
   if (const JsonValue* profile_bytes = header.Get("profile_bytes");
       profile_bytes != nullptr && profile_bytes->is_number()) {
-    info.profile_bytes = static_cast<uint64_t>(profile_bytes->as_number());
+    std::optional<size_t> bytes =
+        SizeFromJsonNumber(profile_bytes->as_number());
+    if (!bytes.has_value()) {
+      return Status::ParseError(
+          "snapshot header profile_bytes must be a whole number");
+    }
+    info.profile_bytes = *bytes;
   }
   if (const JsonValue* seconds = header.Get("preprocess_seconds");
       seconds != nullptr && seconds->is_number()) {

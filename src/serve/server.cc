@@ -28,6 +28,11 @@ constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
 constexpr uint64_t kFirstConnId = 2;
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+/// Upper bound on queries inside one /v1/query_batch body.
+constexpr size_t kMaxBatchQueries = 1024;
+
 constexpr std::string_view kJsonContentType = "application/json";
 constexpr std::string_view kOverviewPrefix = "/v1/overview/";
 
@@ -155,7 +160,7 @@ Status HttpServer::Start() {
   }
   FORESIGHT_ASSIGN_OR_RETURN(
       listen_fd_,
-      CreateListenSocket(options_.port, options_.backlog, &port_));
+      CreateListenSocket(options_.port, kListenBacklog, &port_));
   epoll_fd_.Reset(::epoll_create1(EPOLL_CLOEXEC));
   if (!epoll_fd_.valid()) {
     return Status::IOError(std::string("epoll_create1: ") +
@@ -197,8 +202,7 @@ Status HttpServer::Start() {
     append_latency_ms_ = &metrics_->histogram("serve.append_latency_ms");
   }
 
-  ThreadPool* pool = session_->engine().thread_pool();
-  use_engine_pool_ = pool != nullptr && pool->num_threads() > 1;
+  use_engine_pool_ = session_->engine().thread_pool()->num_threads() > 1;
   if (!use_engine_pool_) {
     // Single-worker engine: no pool workers exist to Submit to, so one
     // dedicated thread drains the admission queue.
@@ -627,7 +631,7 @@ HttpResponse HttpServer::HandleApi(const HttpRequest& request) const {
     StatusOr<const QuerySession*> session = ResolveSession(*dataset, &pin);
     if (!session.ok()) return ErrorResponse(session.status());
     StatusOr<std::vector<InsightQuery>> queries =
-        ParseQueryBatchV1(*body, options_.max_batch_queries);
+        ParseQueryBatchV1(*body, kMaxBatchQueries);
     if (!queries.ok()) return ErrorResponse(queries.status());
     ReaderLockMaybe guard(DataGuard(*dataset, pin));
     StatusOr<std::vector<InsightQueryResult>> results =

@@ -26,8 +26,6 @@ struct HttpServerOptions {
   /// TCP port on 127.0.0.1; 0 picks a kernel-assigned ephemeral port (read it
   /// back via HttpServer::port()).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 128;
   /// Admission-queue capacity: requests already parsed but not yet picked up
   /// by a worker. A full queue answers 503 + Retry-After immediately — the
   /// server's memory for queued work is bounded by
@@ -37,8 +35,6 @@ struct HttpServerOptions {
   /// half-sent request (slowloris) gets 408 and a close; an idle keep-alive
   /// connection is closed silently. 0 disables the sweep.
   uint32_t idle_timeout_ms = 10'000;
-  /// Upper bound on queries inside one /v1/query_batch body.
-  size_t max_batch_queries = 1024;
   /// HTTP parse limits (header/body byte ceilings).
   HttpLimits limits;
   /// Multi-dataset serving (optional; must outlive the server). When set,

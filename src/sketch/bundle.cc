@@ -129,8 +129,7 @@ void BundleBuilder::AccumulateNumericBlocked(const NumericColumn& column,
                                              const RandomPanelBlock& panel,
                                              size_t row_begin, size_t row_end,
                                              NumericColumnSketch& sketch,
-                                             IngestScratch& scratch,
-                                             bool skip_ones) const {
+                                             IngestScratch& scratch) const {
   FORESIGHT_CHECK(row_end <= column.size());
   FORESIGHT_CHECK(row_begin >= panel.row_begin &&
                   row_end <= panel.row_begin + panel.num_rows);
@@ -138,59 +137,39 @@ void BundleBuilder::AccumulateNumericBlocked(const NumericColumn& column,
   FORESIGHT_CHECK(panel.projection_k == config_.projection_dims);
   FORESIGHT_DCHECK(sketch.hyperplane_acc.dot.size() == hyperplane_bits_);
   FORESIGHT_DCHECK(sketch.projection.k() == config_.projection_dims);
-  if (row_begin >= row_end) return;
-  const size_t local_begin = row_begin - panel.row_begin;
-  const double* values = nullptr;
-  const uint32_t* local_rows = nullptr;
-  size_t count = 0;
-  if (column.null_count() == 0) {
-    // Fully-valid fast path: stream the column's raw buffer against the
-    // contiguous panel rows starting at local_begin — no compaction copy.
-    values = column.values().data() + row_begin;
-    count = row_end - row_begin;
-    for (size_t j = 0; j < count; ++j) {
-      const double v = values[j];
-      sketch.moments.Add(v);
-      sketch.quantiles.Update(v);
-      sketch.sample.Add(v);
-    }
-  } else {
-    // Compact the valid rows; value sketches are fed inline so they see
-    // values in the same row order as the row-at-a-time path.
-    scratch.values.clear();
-    scratch.local_rows.clear();
-    for (size_t row = row_begin; row < row_end; ++row) {
-      if (!column.is_valid(row)) continue;
-      const double v = column.value(row);
-      sketch.moments.Add(v);
-      sketch.quantiles.Update(v);
-      sketch.sample.Add(v);
-      scratch.values.push_back(v);
-      scratch.local_rows.push_back(
-          static_cast<uint32_t>(row - panel.row_begin));
-    }
-    if (scratch.values.empty()) return;
-    values = scratch.values.data();
-    local_rows = scratch.local_rows.data();
-    count = scratch.values.size();
+  // Compact the valid rows; value sketches are fed inline so they see values
+  // in the same row order as the row-at-a-time path.
+  scratch.values.clear();
+  scratch.local_rows.clear();
+  for (size_t row = row_begin; row < row_end; ++row) {
+    if (!column.is_valid(row)) continue;
+    const double v = column.value(row);
+    sketch.moments.Add(v);
+    sketch.quantiles.Update(v);
+    sketch.sample.Add(v);
+    scratch.values.push_back(v);
+    scratch.local_rows.push_back(static_cast<uint32_t>(row - panel.row_begin));
   }
-  const double* hp_base =
-      local_rows ? panel.hyperplane.data() : panel.hyperplane_row(local_begin);
-  const double* pj_base =
-      local_rows ? panel.projection.data() : panel.projection_row(local_begin);
-  hyperplane_sketcher_.AccumulateValuesBlock(
-      hp_base, local_rows, values, count, sketch.hyperplane_acc.dot.data());
-  projection_sketcher_.AccumulateValuesBlock(
-      pj_base, local_rows, values, count, projection_scale_,
+  if (scratch.values.empty()) return;
+  const double* values = scratch.values.data();
+  const uint32_t* local_rows = scratch.local_rows.data();
+  const size_t count = scratch.values.size();
+  // Raw values enter the hyperplane accumulators unscaled (scale 1.0 is
+  // exact); the projection's scaled value is rounded once per row, exactly
+  // as AccumulateRowValue does.
+  ingest_kernels::GatherValuesAxpy(panel.hyperplane.data(), local_rows, values,
+                                   count, hyperplane_bits_, 1.0,
+                                   sketch.hyperplane_acc.dot.data());
+  ingest_kernels::GatherValuesAxpy(
+      panel.projection.data(), local_rows, values, count,
+      config_.projection_dims, projection_scale_,
       sketch.projection.mutable_components().data());
-  if (!skip_ones) {
-    hyperplane_sketcher_.AccumulateOnesBlock(
-        hp_base, local_rows, count, 1.0,
-        sketch.hyperplane_acc.ones_dot.data());
-    projection_sketcher_.AccumulateOnesBlock(
-        pj_base, local_rows, count, projection_scale_,
-        sketch.projection_ones.mutable_components().data());
-  }
+  ingest_kernels::GatherOnesAxpy(panel.hyperplane.data(), local_rows, count,
+                                 hyperplane_bits_, 1.0,
+                                 sketch.hyperplane_acc.ones_dot.data());
+  ingest_kernels::GatherOnesAxpy(
+      panel.projection.data(), local_rows, count, config_.projection_dims,
+      projection_scale_, sketch.projection_ones.mutable_components().data());
 }
 
 void BundleBuilder::AccumulateNumericBlockedGroup(
@@ -251,18 +230,18 @@ void BundleBuilder::AccumulateSharedOnes(const RandomPanelBlock& panel,
   if (row_begin >= row_end) return;
   const size_t local_begin = row_begin - panel.row_begin;
   const size_t count = row_end - row_begin;
-  hyperplane_sketcher_.AccumulateOnesBlock(panel.hyperplane_row(local_begin),
-                                           nullptr, count, 1.0,
-                                           ones.hyperplane_ones.data());
-  projection_sketcher_.AccumulateOnesBlock(panel.projection_row(local_begin),
-                                           nullptr, count, projection_scale_,
-                                           ones.projection_ones.data());
+  ingest_kernels::DenseOnesAxpy(panel.hyperplane_row(local_begin), count,
+                                hyperplane_bits_, 1.0,
+                                ones.hyperplane_ones.data());
+  ingest_kernels::DenseOnesAxpy(panel.projection_row(local_begin), count,
+                                config_.projection_dims, projection_scale_,
+                                ones.projection_ones.data());
 }
 
 void BundleBuilder::ApplySharedOnes(const SharedOnes& ones,
                                     NumericColumnSketch& sketch) const {
   // Overwrites: the target's ones accumulators must still be all-zero (the
-  // column was ingested with skip_ones). The copy equals replaying the same
+  // grouped kernel leaves them untouched). The copy equals replaying the same
   // additions from zero, so the result is bit-identical to self-accumulation.
   FORESIGHT_CHECK(ones.hyperplane_ones.size() == hyperplane_bits_);
   FORESIGHT_CHECK(ones.projection_ones.size() == config_.projection_dims);

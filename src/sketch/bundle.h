@@ -132,25 +132,26 @@ class BundleBuilder {
                          IngestScratch* scratch = nullptr) const;
 
   /// Panel-blocked ingestion of rows [row_begin, row_end), which must lie
-  /// inside `panel`'s row range. Bit-identical to AccumulateNumeric over the
-  /// same rows: value sketches see values in row order and every dot/ones
-  /// accumulator receives one addition per valid row in ascending row order.
-  /// With `skip_ones` true the ones-side accumulators are left untouched —
-  /// only valid for columns with zero nulls, where the caller applies a
-  /// SharedOnes partition total instead (see AccumulateSharedOnes).
+  /// inside `panel`'s row range: the kernel for columns with nulls. The
+  /// valid rows are compacted into `scratch` and fed to the gather kernels.
+  /// Bit-identical to AccumulateNumeric over the same rows: value sketches
+  /// see values in row order and every dot/ones accumulator receives one
+  /// addition per valid row in ascending row order.
   void AccumulateNumericBlocked(const NumericColumn& column,
                                 const RandomPanelBlock& panel,
                                 size_t row_begin, size_t row_end,
                                 NumericColumnSketch& sketch,
-                                IngestScratch& scratch,
-                                bool skip_ones = false) const;
+                                IngestScratch& scratch) const;
 
   /// Panel-blocked ingestion for a group of fully-valid (zero-null) columns
-  /// over one panel span. Equivalent to AccumulateNumericBlocked with
-  /// skip_ones=true per column — value sketches are fed per column in row
-  /// order and each accumulator receives the identical addition sequence —
-  /// but the dense kernels sweep each panel slab once per group of four
-  /// columns instead of once per column, keeping it hot in L1.
+  /// over one panel span: the kernel for columns without nulls. Value
+  /// sketches are fed per column in row order and each value accumulator
+  /// receives the same addition sequence as AccumulateNumeric, but the dense
+  /// kernel sweeps each panel slab once per group of four columns instead of
+  /// once per column, keeping it hot in L1. The ones-side accumulators are
+  /// left untouched: they depend only on the row set, so the caller applies
+  /// one SharedOnes partition total to every such column (see
+  /// AccumulateSharedOnes).
   void AccumulateNumericBlockedGroup(const NumericColumn* const* columns,
                                      NumericColumnSketch* const* sketches,
                                      size_t num_columns,

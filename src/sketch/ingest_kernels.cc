@@ -12,35 +12,6 @@ namespace ingest_kernels {
 // never reassociates across rows.
 
 FORESIGHT_KERNEL_CLONES
-void DenseValuesAxpy(const double* panel, const double* values, size_t count,
-                     size_t k, double scale, double* acc) {
-  size_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    const double* p0 = panel + j * k;
-    const double* p1 = p0 + k;
-    const double* p2 = p1 + k;
-    const double* p3 = p2 + k;
-    const double v0 = values[j] * scale;
-    const double v1 = values[j + 1] * scale;
-    const double v2 = values[j + 2] * scale;
-    const double v3 = values[j + 3] * scale;
-    for (size_t i = 0; i < k; ++i) {
-      double a = acc[i];
-      a += v0 * p0[i];
-      a += v1 * p1[i];
-      a += v2 * p2[i];
-      a += v3 * p3[i];
-      acc[i] = a;
-    }
-  }
-  for (; j < count; ++j) {
-    const double* p = panel + j * k;
-    const double v = values[j] * scale;
-    for (size_t i = 0; i < k; ++i) acc[i] += v * p[i];
-  }
-}
-
-FORESIGHT_KERNEL_CLONES
 void DenseValuesAxpyGroup(const double* panel, const double* const* values,
                           size_t ncols, size_t count, size_t k, double scale,
                           double* const* accs) {

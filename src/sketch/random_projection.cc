@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sketch/ingest_kernels.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -80,34 +79,6 @@ void ProjectionSketcher::GenerateRowComponents(size_t row,
 void ProjectionSketcher::GenerateRowComponents(size_t row, double* out) const {
   Rng rng(SplitMix64(seed_ ^ (row * 0x5851f42d4c957f2dULL + 0x14057b7ef767814fULL)));
   rng.FillNormals(out, k_);
-}
-
-void ProjectionSketcher::AccumulateValuesBlock(const double* panel,
-                                               const uint32_t* local_rows,
-                                               const double* values,
-                                               size_t count, double scale,
-                                               double* components) const {
-  // The shared kernel rounds the scaled value once per row before the inner
-  // loop, exactly as AccumulateRowValue does.
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseValuesAxpy(panel, values, count, k_, scale,
-                                    components);
-  } else {
-    ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_,
-                                     scale, components);
-  }
-}
-
-void ProjectionSketcher::AccumulateOnesBlock(const double* panel,
-                                             const uint32_t* local_rows,
-                                             size_t count, double scale,
-                                             double* components) const {
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseOnesAxpy(panel, count, k_, scale, components);
-  } else {
-    ingest_kernels::GatherOnesAxpy(panel, local_rows, count, k_, scale,
-                                   components);
-  }
 }
 
 void ProjectionSketcher::AccumulateRange(const std::vector<double>& values,

@@ -70,25 +70,9 @@ class ProjectionSketcher {
   void GenerateRowComponents(size_t row, std::vector<double>& out) const;
 
   /// Same, writing into a raw buffer of k doubles (panel materialization).
+  /// BundleBuilder folds the cached panels into sketches through
+  /// sketch/ingest_kernels.h.
   void GenerateRowComponents(size_t row, double* out) const;
-
-  /// Blocked accumulation against a pre-generated projection panel (row-major
-  /// with stride k; panel row j starts at panel + j * k). When `local_rows`
-  /// is null, values[j] pairs with panel row j; otherwise with panel row
-  /// local_rows[j]. Accumulates, for each row j in ascending order,
-  ///   components[i] += (values[j] * scale) * panel[local_row(j)][i]
-  /// with the per-row scaled value computed first — the exact operation
-  /// order of the row-at-a-time path, so results are bit-identical.
-  void AccumulateValuesBlock(const double* panel, const uint32_t* local_rows,
-                             const double* values, size_t count, double scale,
-                             double* components) const;
-
-  /// Ones-side counterpart: components[i] += scale * panel[local_row(j)][i].
-  /// Row-set-only (no column values), so callers can run it once per row
-  /// range and copy the result into every fully-valid column bit-identically.
-  void AccumulateOnesBlock(const double* panel, const uint32_t* local_rows,
-                           size_t count, double scale,
-                           double* components) const;
 
  private:
   size_t k_;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "sketch/ingest_kernels.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -135,33 +134,6 @@ void HyperplaneSketcher::GenerateRowHyperplanes(size_t row, double* out) const {
   // shared across columns sketched with the same (k, seed).
   Rng rng(SplitMix64(seed_ ^ row));
   rng.FillNormals(out, k_);
-}
-
-void HyperplaneSketcher::AccumulateValuesBlock(const double* panel,
-                                               const uint32_t* local_rows,
-                                               const double* values,
-                                               size_t count,
-                                               double* dot) const {
-  // Raw values: scale == 1.0 is exact, so the shared kernel feeds dot[i]
-  // the same products as the row-at-a-time path.
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseValuesAxpy(panel, values, count, k_, 1.0, dot);
-  } else {
-    ingest_kernels::GatherValuesAxpy(panel, local_rows, values, count, k_,
-                                     1.0, dot);
-  }
-}
-
-void HyperplaneSketcher::AccumulateOnesBlock(const double* panel,
-                                             const uint32_t* local_rows,
-                                             size_t count, double scale,
-                                             double* ones_dot) const {
-  if (local_rows == nullptr) {
-    ingest_kernels::DenseOnesAxpy(panel, count, k_, scale, ones_dot);
-  } else {
-    ingest_kernels::GatherOnesAxpy(panel, local_rows, count, k_, scale,
-                                   ones_dot);
-  }
 }
 
 BitSignature HyperplaneSketcher::Finalize(const HyperplaneAccumulator& acc,

@@ -98,35 +98,10 @@ class HyperplaneSketcher {
   /// Same, writing into a raw buffer of k doubles. The panel cache fills each
   /// row block through it once, so preprocessing generates each row's
   /// components once for all columns — the paper's one-pass O(|B| * n * k)
-  /// bound.
+  /// bound. BundleBuilder folds those panels into the accumulators through
+  /// sketch/ingest_kernels.h, bit-identically to the per-row reference
+  /// (BundleBuilder::AccumulateNumeric).
   void GenerateRowHyperplanes(size_t row, double* out) const;
-
-  /// Blocked accumulation against a pre-generated hyperplane panel.
-  ///
-  /// `panel` holds consecutive rows' hyperplane components, row-major with
-  /// stride k: panel row j starts at panel + j * k. When `local_rows` is
-  /// null, values[j] pairs with panel row j (a fully-valid row range);
-  /// otherwise values[j] pairs with panel row local_rows[j] (nulls compacted
-  /// out). Accumulates dot[i] += values[j] * panel[local_row(j)][i] over all
-  /// j in ascending order.
-  ///
-  /// Bit-identity guarantee: each accumulator dot[i] receives exactly the
-  /// additions the per-row reference (BundleBuilder::AccumulateNumeric:
-  /// GenerateRowHyperplanes + scalar accumulation) performs, in the same row
-  /// order, one add per row — the kernel only blocks rows so the panel is
-  /// generated once and the loops stay dense/contiguous.
-  void AccumulateValuesBlock(const double* panel, const uint32_t* local_rows,
-                             const double* values, size_t count,
-                             double* dot) const;
-
-  /// Ones-side counterpart: ones_dot[i] += scale * panel[local_row(j)][i]
-  /// for the same rows (scale is 1 for the hyperplane sketch; the parameter
-  /// keeps the kernel shared with callers that fold a constant weight in).
-  /// Because this sequence only depends on the row set — not on any column's
-  /// values — callers can run it once and copy the result into every
-  /// fully-valid column, bit-identically.
-  void AccumulateOnesBlock(const double* panel, const uint32_t* local_rows,
-                           size_t count, double scale, double* ones_dot) const;
 
   /// Converts a (possibly merged) accumulator into a bit signature, centering
   /// by the column mean.

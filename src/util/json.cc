@@ -84,6 +84,16 @@ bool JsonValue::Remove(std::string_view key) {
   return false;
 }
 
+std::optional<size_t> SizeFromJsonNumber(double value) {
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  // The negated range test also rejects NaN.
+  if (!(value >= 0.0 && value <= kMaxExactInteger) ||
+      value != std::floor(value)) {
+    return std::nullopt;
+  }
+  return static_cast<size_t>(value);
+}
+
 std::string JsonEscape(std::string_view input) {
   std::string out;
   out.reserve(input.size());

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,6 +113,13 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON output (without the quotes).
 std::string JsonEscape(std::string_view input);
+
+/// A JSON number read as a count or index: `value` when it is a finite,
+/// non-negative whole number no larger than 2^53 (where every integer is
+/// exact in a double), else nullopt. Casting a negative, NaN or too-large
+/// double straight to size_t is undefined behaviour, and a fractional one
+/// would be silently truncated.
+std::optional<size_t> SizeFromJsonNumber(double value);
 
 }  // namespace foresight
 

@@ -69,6 +69,18 @@ std::optional<int64_t> ParseInt64(std::string_view input) {
   return value;
 }
 
+bool ParseSizeFlag(std::string_view arg, std::string_view prefix, size_t* out,
+                   bool* bad_value) {
+  if (!arg.starts_with(prefix)) return false;
+  const std::optional<int64_t> value = ParseInt64(arg.substr(prefix.size()));
+  if (value.has_value() && *value >= 0) {
+    *out = static_cast<size_t>(*value);
+  } else {
+    *bad_value = true;
+  }
+  return true;
+}
+
 bool IsMissingToken(std::string_view value) {
   std::string lower = ToLower(Trim(value));
   return lower.empty() || lower == "na" || lower == "n/a" || lower == "nan" ||

@@ -26,6 +26,14 @@ std::optional<double> ParseDouble(std::string_view input);
 /// Strict int64 parse of the whole (trimmed) string.
 std::optional<int64_t> ParseInt64(std::string_view input);
 
+/// Matches `arg` against a `--name=` size flag given as `prefix`: false when
+/// it is some other argument. On a match the value must be a plain
+/// non-negative decimal integer; anything else (negative, empty, trailing
+/// junk, overflow) sets *bad_value and leaves *out untouched, so the caller
+/// prints usage.
+bool ParseSizeFlag(std::string_view arg, std::string_view prefix, size_t* out,
+                   bool* bad_value);
+
 /// True if `value` case-insensitively equals one of the conventional CSV
 /// missing-value markers: "", "na", "n/a", "nan", "null", "none", "?".
 bool IsMissingToken(std::string_view value);

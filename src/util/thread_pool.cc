@@ -3,6 +3,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -30,11 +31,23 @@ struct ThreadPool::ForJob {
   size_t error_chunk FORESIGHT_GUARDED_BY(mutex) = SIZE_MAX;
 };
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads,
+                       std::shared_ptr<MetricsRegistry> metrics)
+    : metrics_registry_(std::move(metrics)) {
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
   }
   num_threads_ = num_threads == 0 ? 1 : num_threads;
+  // Resolve every hook before the first worker starts: thread creation
+  // publishes them, so workers read plain pointers that never change.
+  if (MetricsRegistry* registry = metrics_registry_.get()) {
+    registry->gauge("thread_pool.threads")
+        .Set(static_cast<double>(num_threads_));
+    tasks_executed_ = &registry->counter("thread_pool.tasks_executed_total");
+    parallel_fors_ = &registry->counter("thread_pool.parallel_fors_total");
+    parallel_for_ms_ = &registry->histogram("thread_pool.parallel_for_ms");
+    queue_depth_ = &registry->gauge("thread_pool.queue_depth");
+  }
   threads_.reserve(num_threads_ - 1);
   for (size_t i = 0; i + 1 < num_threads_; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -50,43 +63,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void ThreadPool::AttachMetrics(std::shared_ptr<MetricsRegistry> registry) {
-  // Retire (never free) whatever registry the hooks currently point into: a
-  // worker may have loaded a Counter* before the stores below and increment
-  // it after them, so dropping the last reference here would be a
-  // use-after-free on that worker.
-  if (metrics_registry_ != nullptr) {
-    retired_registries_.push_back(std::move(metrics_registry_));
-  }
-  if (registry == nullptr) {
-    tasks_executed_.store(nullptr, std::memory_order_release);
-    parallel_fors_.store(nullptr, std::memory_order_release);
-    parallel_for_ms_.store(nullptr, std::memory_order_release);
-    queue_depth_.store(nullptr, std::memory_order_release);
-    return;
-  }
-  metrics_registry_ = registry;
-  registry->gauge("thread_pool.threads").Set(static_cast<double>(num_threads_));
-  // Release stores: each hook points at a freshly constructed metric, so the
-  // publication must carry a happens-before edge to its construction (a
-  // worker's acquire load may be its first sight of that heap object).
-  tasks_executed_.store(&registry->counter("thread_pool.tasks_executed_total"),
-                        std::memory_order_release);
-  parallel_fors_.store(&registry->counter("thread_pool.parallel_fors_total"),
-                       std::memory_order_release);
-  parallel_for_ms_.store(&registry->histogram("thread_pool.parallel_for_ms"),
-                         std::memory_order_release);
-  queue_depth_.store(&registry->gauge("thread_pool.queue_depth"),
-                     std::memory_order_release);
-}
-
 bool ThreadPool::Submit(std::function<void()> task) {
   if (num_threads_ <= 1) return false;
   {
     MutexLock lock(queue_mutex_);
     queue_.emplace_back(std::move(task));
-    if (Gauge* depth = queue_depth_.load(std::memory_order_acquire)) {
-      depth->Set(static_cast<double>(queue_.size()));
+    if (queue_depth_ != nullptr) {
+      queue_depth_->Set(static_cast<double>(queue_.size()));
     }
   }
   queue_cv_.NotifyOne();
@@ -102,13 +85,11 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stopping_ and drained.
       task = std::move(queue_.front());
       queue_.pop_front();
-      if (Gauge* depth = queue_depth_.load(std::memory_order_acquire)) {
-        depth->Set(static_cast<double>(queue_.size()));
+      if (queue_depth_ != nullptr) {
+        queue_depth_->Set(static_cast<double>(queue_.size()));
       }
     }
-    if (Counter* tasks = tasks_executed_.load(std::memory_order_acquire)) {
-      tasks->Increment();
-    }
+    if (tasks_executed_ != nullptr) tasks_executed_->Increment();
     task();
   }
 }
@@ -141,15 +122,12 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   if (begin >= end) return;
   if (grain == 0) grain = 1;
 
-  LatencyHistogram* for_ms = parallel_for_ms_.load(std::memory_order_acquire);
-  if (Counter* fors = parallel_fors_.load(std::memory_order_acquire)) {
-    fors->Increment();
-  }
+  if (parallel_fors_ != nullptr) parallel_fors_->Increment();
   // ParallelFor wall time is observability-only; the clock read is gated on
-  // an attached registry, so metrics-free runs stay clock-free.
+  // a registry, so metrics-free runs stay clock-free.
   // determinism-ok: observability timing, never feeds ranking
   WallTimer timer{kDeferredStart};
-  if (for_ms != nullptr) timer.Restart();
+  if (parallel_for_ms_ != nullptr) timer.Restart();
 
   size_t span = end - begin;
   size_t num_chunks = (span + grain - 1) / grain;
@@ -158,7 +136,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
       size_t chunk_begin = begin + chunk * grain;
       fn(chunk_begin, std::min(end, chunk_begin + grain));
     }
-    if (for_ms != nullptr) for_ms->Record(timer.ElapsedMillis());
+    if (parallel_for_ms_ != nullptr) {
+      parallel_for_ms_->Record(timer.ElapsedMillis());
+    }
     return;
   }
 
@@ -175,8 +155,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     for (size_t i = 0; i < helpers; ++i) {
       queue_.emplace_back([job] { RunJob(*job); });
     }
-    if (Gauge* depth = queue_depth_.load(std::memory_order_acquire)) {
-      depth->Set(static_cast<double>(queue_.size()));
+    if (queue_depth_ != nullptr) {
+      queue_depth_->Set(static_cast<double>(queue_.size()));
     }
   }
   if (helpers == 1) {
@@ -201,7 +181,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     // to destroy an exception the caller is still examining.
     error = std::move(job->error);
   }
-  if (for_ms != nullptr) for_ms->Record(timer.ElapsedMillis());
+  if (parallel_for_ms_ != nullptr) {
+    parallel_for_ms_->Record(timer.ElapsedMillis());
+  }
   if (error) std::rethrow_exception(error);
 }
 

@@ -1,7 +1,6 @@
 #ifndef FORESIGHT_UTIL_THREAD_POOL_H_
 #define FORESIGHT_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -42,8 +41,18 @@ class ThreadPool {
   /// `num_threads` is the total parallelism (including the calling thread of
   /// a ParallelFor). 0 resolves to std::thread::hardware_concurrency().
   /// With a resolved value of 1 no threads are spawned and every ParallelFor
-  /// runs inline on the caller.
-  explicit ThreadPool(size_t num_threads = 0);
+  /// runs inline on the caller, in chunk order — the serial loop.
+  ///
+  /// `metrics`, when non-null, receives the pool's observability: tasks
+  /// executed, queue depth, ParallelFor count and wall time, and a static
+  /// thread-count gauge ("thread_pool.*"). The hooks are resolved here,
+  /// before any worker starts, and never change; the pool shares ownership
+  /// of the registry, so workers draining the queue during shutdown can
+  /// still touch their metrics after every other owner is gone. Without a
+  /// registry ParallelFor reads no clock, keeping metrics-free runs
+  /// clock-free.
+  explicit ThreadPool(size_t num_threads = 0,
+                      std::shared_ptr<MetricsRegistry> metrics = nullptr);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -71,15 +80,6 @@ class ThreadPool {
   /// as long as the pool outlives the Submit call; `task` must not throw.
   bool Submit(std::function<void()> task);
 
-  /// Points the pool at a registry for observability: tasks executed, queue
-  /// depth, ParallelFor count and wall time, and a static thread-count gauge
-  /// ("thread_pool.*"). Pass nullptr to detach. The pool shares ownership of
-  /// the registry, so workers draining the queue during shutdown can still
-  /// touch their metrics even if every other owner is gone. When detached —
-  /// the default — ParallelFor reads no clock, keeping metrics-free runs
-  /// clock-free.
-  void AttachMetrics(std::shared_ptr<MetricsRegistry> registry);
-
  private:
   struct ForJob;
 
@@ -94,23 +94,14 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ FORESIGHT_GUARDED_BY(queue_mutex_);
   bool stopping_ FORESIGHT_GUARDED_BY(queue_mutex_) = false;
 
-  // Observability hooks; null when no registry is attached. Release stores /
-  // acquire loads: each pointer publishes a freshly constructed metric, so
-  // readers need the happens-before edge to its construction (a worker
-  // observing a half-attached *set* of hooks is fine — a few early events go
-  // uncounted — but observing an unconstructed metric is not). AttachMetrics
-  // is a setup-time call (not safe against concurrent AttachMetrics), but
-  // workers may hold raw hook pointers at any moment, so every registry ever
-  // attached is retained until the pool is destroyed — see retired_registries_.
+  // Observability hooks into metrics_registry_; null without a registry. Set
+  // in the constructor before any worker exists and never changed, so
+  // workers read them without synchronization.
   std::shared_ptr<MetricsRegistry> metrics_registry_;
-  /// Previously attached registries, kept alive because a worker may still be
-  /// about to touch a Counter/Gauge it resolved from one of them. Bounded by
-  /// the number of AttachMetrics calls (in practice: one).
-  std::vector<std::shared_ptr<MetricsRegistry>> retired_registries_;
-  std::atomic<Counter*> tasks_executed_{nullptr};
-  std::atomic<Counter*> parallel_fors_{nullptr};
-  std::atomic<LatencyHistogram*> parallel_for_ms_{nullptr};
-  std::atomic<Gauge*> queue_depth_{nullptr};
+  Counter* tasks_executed_ = nullptr;
+  Counter* parallel_fors_ = nullptr;
+  LatencyHistogram* parallel_for_ms_ = nullptr;
+  Gauge* queue_depth_ = nullptr;
 };
 
 }  // namespace foresight

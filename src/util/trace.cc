@@ -32,10 +32,9 @@ JsonValue QueryTrace::ToJson() const {
   return root;
 }
 
-void AccumulateTrace(const QueryTrace& trace, MetricsRegistry& registry,
-                     bool record_zeros) {
+void AccumulateTrace(const QueryTrace& trace, MetricsRegistry& registry) {
   for (size_t i = 0; i < kNumQueryStages; ++i) {
-    if (trace.stage_ms[i] == 0.0 && !record_zeros) continue;
+    if (trace.stage_ms[i] == 0.0) continue;
     std::string name = "engine.stage.";
     name += QueryStageName(static_cast<QueryStage>(i));
     name += "_ms";

@@ -72,11 +72,9 @@ class StageSpan {
 };
 
 /// Folds one query's stage timings into the registry's per-stage latency
-/// histograms ("engine.stage.<stage>_ms"). Stages that never ran (0 ms and
-/// never entered) still record a zero sample only when `record_zeros` is set;
-/// by default they are skipped so histograms reflect work actually done.
-void AccumulateTrace(const QueryTrace& trace, MetricsRegistry& registry,
-                     bool record_zeros = false);
+/// histograms ("engine.stage.<stage>_ms"). Stages that never ran (0 ms) are
+/// skipped, so histograms reflect work actually done.
+void AccumulateTrace(const QueryTrace& trace, MetricsRegistry& registry);
 
 }  // namespace foresight
 

@@ -164,6 +164,42 @@ TEST_F(DatasetRegistryTest, SnapshotAndRebuildAnswerIdentically) {
             WireResultV1(*rebuilt_result).Dump());
 }
 
+TEST_F(DatasetRegistryTest, RebuildProfilesOnTheDatasetWorkers) {
+  // A dataset without a snapshot builds its profile on its own engine's
+  // pool, so the registry's worker count reaches preprocessing; the profile
+  // is still the serial one byte for byte.
+  DatasetRegistryOptions options;
+  options.num_workers = 2;
+  options.collect_metrics = true;
+  DatasetRegistry registry(std::move(options));
+  for (DatasetSpec& spec : Specs()) {
+    spec.snapshot_path.clear();
+    ASSERT_TRUE(registry.Add(std::move(spec)).ok());
+  }
+  auto pinned = registry.Acquire("ds2");
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_FALSE((*pinned)->loaded_from_snapshot());
+  const InsightEngine& engine = (*pinned)->engine();
+  EXPECT_EQ(engine.num_workers(), 2u);
+  ASSERT_NE(engine.metrics(), nullptr);
+  // No query has run yet, so every ParallelFor so far was preprocessing.
+  EXPECT_GT(
+      engine.metrics()->counter("thread_pool.parallel_fors_total").value(),
+      0u);
+
+  auto table = CsvReader::ReadFile(dir_ + "/ds2.csv");
+  ASSERT_TRUE(table.ok());
+  auto serial = Preprocessor::Profile(*table);
+  ASSERT_TRUE(serial.ok());
+  // Wall-clock preprocessing time is the one field allowed to differ.
+  auto comparable = [](const TableProfile& profile) {
+    JsonValue json = profile.ToJson();
+    json.Set("preprocess_seconds", 0.0);
+    return json.Dump();
+  };
+  EXPECT_EQ(comparable(engine.profile()), comparable(*serial));
+}
+
 TEST_F(DatasetRegistryTest, CorruptSnapshotFallsBackToRebuild) {
   std::vector<DatasetSpec> specs = Specs();
   {

@@ -176,6 +176,14 @@ TEST_F(ExplorerTest, LoadStateRejectsMalformedInput) {
       R"({"focus": [{"class": "skew", "attributes": ["NoSuchColumn"]}]})");
   ASSERT_TRUE(bad_attribute.ok());
   EXPECT_FALSE(ExplorationSession::LoadState(*engine_, *bad_attribute).ok());
+  // Counts must be non-negative whole numbers, not wrapped or truncated.
+  for (const char* size : {"-1", "2.5"}) {
+    auto bad_size = JsonValue::Parse(
+        std::string(R"({"options": {"carousel_size": )") + size + "}}");
+    ASSERT_TRUE(bad_size.ok()) << size;
+    EXPECT_FALSE(ExplorationSession::LoadState(*engine_, *bad_size).ok())
+        << size;
+  }
 }
 
 TEST_F(ExplorerTest, LoadStateWithEmptyObjectYieldsDefaultSession) {

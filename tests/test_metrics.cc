@@ -172,15 +172,13 @@ TEST(QueryTraceTest, JsonHasAllFiveStages) {
   EXPECT_DOUBLE_EQ(stages->Get("enumerate")->as_number(), 1.25);
 }
 
-TEST(QueryTraceTest, AccumulateSkipsZeroStagesByDefault) {
+TEST(QueryTraceTest, AccumulateSkipsZeroStages) {
   MetricsRegistry registry;
   QueryTrace trace;
   trace.stage_ms[static_cast<size_t>(QueryStage::kEvaluate)] = 3.0;
   AccumulateTrace(trace, registry);
   EXPECT_EQ(registry.histogram("engine.stage.evaluate_ms").count(), 1u);
   EXPECT_EQ(registry.histogram("engine.stage.resolve_ms").count(), 0u);
-  AccumulateTrace(trace, registry, /*record_zeros=*/true);
-  EXPECT_EQ(registry.histogram("engine.stage.resolve_ms").count(), 1u);
 }
 
 // ---------------------------------------------------------------------------

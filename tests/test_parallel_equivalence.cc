@@ -93,7 +93,9 @@ InsightEngine* ParallelEquivalenceTest::parallel_ = nullptr;
 
 TEST_F(ParallelEquivalenceTest, EngineUsesRequestedWorkerCounts) {
   EXPECT_EQ(serial_->num_workers(), 1u);
-  EXPECT_EQ(serial_->thread_pool(), nullptr);
+  // A one-worker engine still owns a pool: one thread, nothing spawned.
+  ASSERT_NE(serial_->thread_pool(), nullptr);
+  EXPECT_EQ(serial_->thread_pool()->num_threads(), 1u);
   EXPECT_EQ(parallel_->num_workers(), 8u);
   ASSERT_NE(parallel_->thread_pool(), nullptr);
   EXPECT_EQ(parallel_->thread_pool()->num_threads(), 8u);

@@ -19,6 +19,7 @@
 #include "data/table.h"
 #include "sketch/bundle.h"
 #include "util/json.h"
+#include "util/json_binary.h"
 #include "util/string_util.h"
 
 namespace foresight {
@@ -331,26 +332,46 @@ TEST_F(SnapshotHardeningTest, ChecksumCorrectGarbageDocumentsAreRejected) {
   // A snapshot whose prelude and checksums are self-consistent but whose
   // header/payload documents are garbage must be rejected on structure —
   // the layer BELOW the checksums is also hostile-input-hardened.
-  const std::string header = "not an FJB1 document";
-  const std::string payload = "nor is this";
-  std::string fake;
-  fake += kSnapshotMagic;
-  auto append_u32 = [&fake](uint32_t v) {
-    for (int i = 0; i < 4; ++i) fake.push_back(static_cast<char>(v >> (8 * i)));
+  auto fake_snapshot = [](const std::string& header,
+                          const std::string& payload) {
+    std::string fake;
+    fake += kSnapshotMagic;
+    auto append_u32 = [&fake](uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        fake.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    };
+    auto append_u64 = [&fake](uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        fake.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    };
+    append_u32(kSnapshotFormatVersion);
+    append_u32(0);
+    append_u64(header.size());
+    append_u64(payload.size());
+    append_u64(Crc64(header));
+    append_u64(Crc64(payload));
+    fake += header;
+    fake += payload;
+    return fake;
   };
-  auto append_u64 = [&fake](uint64_t v) {
-    for (int i = 0; i < 8; ++i) fake.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  append_u32(kSnapshotFormatVersion);
-  append_u32(0);
-  append_u64(header.size());
-  append_u64(payload.size());
-  append_u64(Crc64(header));
-  append_u64(Crc64(payload));
-  fake += header;
-  fake += payload;
+  const std::string fake =
+      fake_snapshot("not an FJB1 document", "nor is this");
   EXPECT_FALSE(InspectProfileSnapshot(fake).ok());
   EXPECT_FALSE(LoadProfileSnapshot(table_, fake).ok());
+
+  // A well-formed header whose row count is negative: rejected, never cast
+  // to a size.
+  JsonValue header = JsonValue::Object();
+  header.Set("format", "foresight.snapshot");
+  header.Set("num_rows", -1.0);
+  header.Set("num_columns", 0);
+  header.Set("columns", JsonValue::Array());
+  const std::string negative_rows = fake_snapshot(
+      JsonBinaryEncode(header), JsonBinaryEncode(JsonValue::Object()));
+  EXPECT_FALSE(InspectProfileSnapshot(negative_rows).ok());
+  EXPECT_FALSE(LoadProfileSnapshot(table_, negative_rows).ok());
 }
 
 }  // namespace

@@ -203,6 +203,22 @@ TEST_F(ProfilePersistenceTest, RejectsMismatchedTable) {
   EXPECT_FALSE(Preprocessor::LoadProfile(imdb, *profile_json_).ok());
   EXPECT_FALSE(
       Preprocessor::LoadProfile(*table_, JsonValue::Object()).ok());
+  // Row numbers and the row count must be whole and in range: a fractional
+  // or negative value is rejected, never truncated or wrapped.
+  for (double bad_row : {0.5, -1.0}) {
+    JsonValue doc = *profile_json_;
+    const JsonValue& rows = *doc.Get("sampled_rows");
+    std::vector<double> values;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      values.push_back(rows.at(i).as_number());
+    }
+    values[0] = bad_row;
+    doc.Set("sampled_rows", JsonValue::PackedNumberArray(std::move(values)));
+    EXPECT_FALSE(Preprocessor::LoadProfile(*table_, doc).ok()) << bad_row;
+  }
+  JsonValue negative_rows = *profile_json_;
+  negative_rows.Set("num_rows", -1.0);
+  EXPECT_FALSE(Preprocessor::LoadProfile(*table_, negative_rows).ok());
 }
 
 // ---------- Parallel query evaluation ----------

@@ -51,6 +51,32 @@ TEST(ParseInt64Test, ParsesAndRejects) {
   EXPECT_FALSE(ParseInt64("12a").has_value());
 }
 
+TEST(ParseSizeFlagTest, MatchesItsPrefixAndRejectsBadValues) {
+  size_t out = 7;
+  bool bad = false;
+  EXPECT_TRUE(ParseSizeFlag("--rows=42", "--rows=", &out, &bad));
+  EXPECT_EQ(out, 42u);
+  EXPECT_FALSE(bad);
+
+  // Another flag's prefix is not a match: nothing is touched.
+  out = 7;
+  EXPECT_FALSE(ParseSizeFlag("--workers=3", "--rows=", &out, &bad));
+  EXPECT_FALSE(ParseSizeFlag("--rows", "--rows=", &out, &bad));
+  EXPECT_EQ(out, 7u);
+  EXPECT_FALSE(bad);
+
+  // A match with a bad value flags it and leaves *out alone.
+  for (const char* arg : {"--rows=-1", "--rows=", "--rows=12x",
+                          "--rows=99999999999999999999"}) {
+    SCOPED_TRACE(arg);
+    out = 7;
+    bad = false;
+    EXPECT_TRUE(ParseSizeFlag(arg, "--rows=", &out, &bad));
+    EXPECT_TRUE(bad);
+    EXPECT_EQ(out, 7u);
+  }
+}
+
 TEST(IsMissingTokenTest, RecognizesConventionalMarkers) {
   EXPECT_TRUE(IsMissingToken(""));
   EXPECT_TRUE(IsMissingToken("   "));

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,29 +153,25 @@ TEST(ThreadPoolTest, NestedParallelForMakesProgress) {
   EXPECT_EQ(total.load(), 800);
 }
 
-TEST(ThreadPoolTest, RetiredMetricsRegistryOutlivesInFlightTasks) {
-  // Regression (ASan/TSAN): workers cache raw Counter*/Gauge* hook pointers
-  // into the attached registry. Detaching (or replacing) the registry while
-  // a submitted task is still in flight used to free those metrics out from
-  // under the worker; retired registries must stay alive for the pool's
-  // lifetime instead.
+TEST(ThreadPoolTest, MetricsRegistryOutlivesCallerForDrainingTasks) {
+  // Regression (ASan/TSAN): workers count every task through raw Counter*/
+  // Gauge* hooks into the registry the pool was built with. The pool shares
+  // ownership of that registry, so a caller dropping its reference while
+  // submitted tasks are still queued must not free the metrics under them.
   std::atomic<int> ran{0};
   int submitted = 0;
-  {
-    ThreadPool pool(4);
-    for (int round = 0; round < 100; ++round) {
-      auto registry = std::make_shared<MetricsRegistry>();
-      pool.AttachMetrics(registry);
-      registry.reset();  // The pool now holds the only reference.
+  for (int round = 0; round < 100; ++round) {
+    auto registry = std::make_shared<MetricsRegistry>();
+    std::weak_ptr<MetricsRegistry> watch = registry;
+    {
+      ThreadPool pool(4, std::move(registry));
       for (int i = 0; i < 32; ++i) {
         if (pool.Submit([&] { ran.fetch_add(1); })) ++submitted;
       }
-      // Swap hooks mid-storm: in-flight tasks may still be counting against
-      // the registry attached above.
-      pool.AttachMetrics(nullptr);
-      pool.AttachMetrics(std::make_shared<MetricsRegistry>());
+      EXPECT_FALSE(watch.expired()) << "round " << round;
+      // Destruction drains the queue against the pool-owned registry.
     }
-    // Destruction drains the queue; every submitted task must have run.
+    EXPECT_TRUE(watch.expired()) << "round " << round;
   }
   EXPECT_EQ(ran.load(), submitted);
   EXPECT_EQ(submitted, 100 * 32);

@@ -50,12 +50,9 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/dataset_registry.h"
@@ -105,24 +102,6 @@ struct Args {
   bool build_profile = true;
   bool smoke = false;
 };
-
-/// Matches `arg` against a `--name=` size flag: false when it is some other
-/// argument. On a match the value must be a plain non-negative decimal
-/// integer; anything else (negative, empty, trailing junk, overflow) sets
-/// *bad_value and leaves *out untouched, so the caller prints usage.
-bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out,
-                   bool* bad_value) {
-  const size_t len = std::strlen(prefix);
-  if (arg.rfind(prefix, 0) != 0) return false;
-  const std::optional<int64_t> value =
-      ParseInt64(std::string_view(arg).substr(len));
-  if (value.has_value() && *value >= 0) {
-    *out = static_cast<size_t>(*value);
-  } else {
-    *bad_value = true;
-  }
-  return true;
-}
 
 int Smoke(uint16_t port, const DatasetRegistry* registry,
           const DataTable* appendable) {

@@ -35,10 +35,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/profile.h"
 #include "core/snapshot.h"
@@ -88,32 +85,10 @@ struct Args {
   bool force = false;
 };
 
-/// Matches `arg` against a `--name=` size flag: false when it is some other
-/// argument. On a match the value must be a plain non-negative decimal
-/// integer; anything else (negative, empty, trailing junk, overflow) sets
-/// *bad_value and leaves *out untouched, so the caller prints usage.
-bool ParseSizeFlag(const std::string& arg, const char* prefix, size_t* out,
-                   bool* bad_value) {
-  const size_t len = std::strlen(prefix);
-  if (arg.rfind(prefix, 0) != 0) return false;
-  const std::optional<int64_t> value =
-      ParseInt64(std::string_view(arg).substr(len));
-  if (value.has_value() && *value >= 0) {
-    *out = static_cast<size_t>(*value);
-  } else {
-    *bad_value = true;
-  }
-  return true;
-}
-
 int Fail(const char* what, const Status& status) {
   std::fprintf(stderr, "foresight_snapshot: %s: %s\n", what,
                status.ToString().c_str());
   return 1;
-}
-
-StatusOr<DataTable> LoadCsv(const std::string& path) {
-  return CsvReader::ReadFile(path);
 }
 
 int RunBuild(const Args& args) {
@@ -144,7 +119,7 @@ int RunBuild(const Args& args) {
   // The profile is always built from the CSV-parsed table — not the
   // in-memory synthetic one — so the snapshot matches the exact doubles a
   // server reading that CSV will hold.
-  auto table = LoadCsv(csv_path);
+  auto table = CsvReader::ReadFile(csv_path);
   if (!table.ok()) return Fail("reading CSV", table.status());
 
   ThreadPool pool(args.workers);
@@ -196,7 +171,7 @@ int RunInspect(const Args& args) {
 
 int RunVerify(const Args& args) {
   if (args.in_path.empty() || args.csv_path.empty()) return Usage();
-  auto table = LoadCsv(args.csv_path);
+  auto table = CsvReader::ReadFile(args.csv_path);
   if (!table.ok()) return Fail("reading CSV", table.status());
 
   ThreadPool pool(args.workers);
@@ -241,7 +216,7 @@ int RunVerify(const Args& args) {
 
 int RunRefresh(const Args& args) {
   if (args.in_path.empty() || args.csv_path.empty()) return Usage();
-  auto table = LoadCsv(args.csv_path);
+  auto table = CsvReader::ReadFile(args.csv_path);
   if (!table.ok()) return Fail("reading CSV", table.status());
 
   ThreadPool pool(args.workers);
