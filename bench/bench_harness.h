@@ -30,7 +30,7 @@ namespace foresight {
 
 /// The flags a bench accepts.
 struct BenchFlags {
-  bool smoke = false;    ///< --smoke: quick equivalence checks, no JSON.
+  bool smoke = false;    ///< --smoke: quick correctness gates, no JSON.
   bool stretch = false;  ///< --stretch: opt-in oversized workloads.
 };
 

@@ -139,41 +139,6 @@ StatusOr<DataTable> DataTable::SelectColumns(
   return result;
 }
 
-DataTable DataTable::HeadRows(size_t n) const {
-  n = std::min(n, num_rows_);
-  DataTable result;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const Column& col = *columns_[c];
-    std::unique_ptr<Column> head;
-    if (col.type() == ColumnType::kNumeric) {
-      auto out = std::make_unique<NumericColumn>();
-      const auto& numeric = col.AsNumeric();
-      for (size_t i = 0; i < n; ++i) {
-        if (numeric.is_valid(i)) {
-          out->Append(numeric.value(i));
-        } else {
-          out->AppendNull();
-        }
-      }
-      head = std::move(out);
-    } else {
-      auto out = std::make_unique<CategoricalColumn>();
-      const auto& categorical = col.AsCategorical();
-      for (size_t i = 0; i < n; ++i) {
-        if (categorical.is_valid(i)) {
-          out->Append(categorical.value(i));
-        } else {
-          out->AppendNull();
-        }
-      }
-      head = std::move(out);
-    }
-    Status status = result.AddColumn(schema_.column(c).name, std::move(head));
-    FORESIGHT_CHECK(status.ok());
-  }
-  return result;
-}
-
 size_t DataTable::EstimateMemoryBytes() const {
   size_t bytes = 0;
   for (const auto& column : columns_) {

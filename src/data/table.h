@@ -89,9 +89,6 @@ class DataTable {
   /// New table with only the selected columns (by index, in given order).
   StatusOr<DataTable> SelectColumns(const std::vector<size_t>& indices) const;
 
-  /// New table with only the first `n` rows (or all rows if n >= num_rows).
-  DataTable HeadRows(size_t n) const;
-
   /// Rough resident footprint of the column data (value buffers, validity
   /// masks, categorical dictionaries). Used by the dataset registry's byte
   /// budget alongside TableProfile::EstimateMemoryBytes.

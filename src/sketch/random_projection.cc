@@ -45,17 +45,6 @@ double ProjectionSketch::EstimateDot(const ProjectionSketch& a,
   return sum;
 }
 
-double ProjectionSketch::EstimateSquaredDistance(const ProjectionSketch& a,
-                                                 const ProjectionSketch& b) {
-  FORESIGHT_CHECK(a.k() == b.k());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.k(); ++i) {
-    double d = a.components_[i] - b.components_[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
 double ProjectionSketch::EstimateCorrelation(const ProjectionSketch& a,
                                              const ProjectionSketch& b) {
   double na = a.EstimateSquaredNorm();

@@ -34,10 +34,6 @@ class ProjectionSketch {
   static double EstimateDot(const ProjectionSketch& a,
                             const ProjectionSketch& b);
 
-  /// Estimated squared Euclidean distance between the original columns.
-  static double EstimateSquaredDistance(const ProjectionSketch& a,
-                                        const ProjectionSketch& b);
-
   /// Estimated Pearson correlation from projections of the *centered*
   /// columns: <a~, b~> / (||a~|| * ||b~||). An alternative rho estimator to
   /// the hyperplane sketch, with magnitude information retained.

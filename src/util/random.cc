@@ -183,14 +183,6 @@ double Rng::Exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::Cauchy() {
-  double u;
-  do {
-    u = UniformDouble();
-  } while (u == 0.0 || u == 0.5);
-  return std::tan(kPi * (u - 0.5));
-}
-
 double Rng::LogNormal(double mu_log, double sigma_log) {
   return std::exp(Normal(mu_log, sigma_log));
 }

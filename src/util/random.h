@@ -53,10 +53,6 @@ class Rng {
   /// Exponential deviate with the given rate (mean 1/rate).
   double Exponential(double rate);
 
-  /// Standard Cauchy deviate (heavy-tailed; used by heavy-tail generators and
-  /// the stable-distribution entropy sketch).
-  double Cauchy();
-
   /// Log-normal deviate: exp(Normal(mu_log, sigma_log)).
   double LogNormal(double mu_log, double sigma_log);
 

@@ -140,24 +140,6 @@ TEST(DataTableTest, SelectColumnsRejectsBadIndex) {
   EXPECT_EQ(table.SelectColumns({5}).status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(DataTableTest, HeadRowsTruncatesWithNulls) {
-  DataTable table;
-  NumericColumn numeric;
-  numeric.Append(1.0);
-  numeric.AppendNull();
-  numeric.Append(3.0);
-  ASSERT_TRUE(
-      table.AddColumn("x", std::make_unique<NumericColumn>(std::move(numeric)))
-          .ok());
-  ASSERT_TRUE(table.AddCategoricalColumn("c", {"a", "b", "c"}).ok());
-  DataTable head = table.HeadRows(2);
-  EXPECT_EQ(head.num_rows(), 2u);
-  EXPECT_FALSE(head.column(0).is_valid(1));
-  EXPECT_EQ(head.column(1).AsCategorical().value(0), "a");
-  // n larger than the table is a no-op copy.
-  EXPECT_EQ(table.HeadRows(100).num_rows(), 3u);
-}
-
 TEST(DataTableTest, CloneIsIndependent) {
   DataTable table;
   ASSERT_TRUE(table.AddNumericColumn("x", {1, 2}).ok());

@@ -100,19 +100,6 @@ TEST(RngTest, ZipfFrequenciesDecreaseWithRank) {
   EXPECT_NEAR(ratio, std::pow(2.0, 1.2), 0.3);
 }
 
-TEST(RngTest, CauchyIsSymmetricWithHeavyTails) {
-  Rng rng(15);
-  int positive = 0, extreme = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    double c = rng.Cauchy();
-    if (c > 0) ++positive;
-    if (std::abs(c) > 31.8) ++extreme;  // P(|C| > 31.8) ~ 2%.
-  }
-  EXPECT_NEAR(static_cast<double>(positive) / n, 0.5, 0.02);
-  EXPECT_NEAR(static_cast<double>(extreme) / n, 0.02, 0.01);
-}
-
 // The entropy sketch relies on the Laplace functional of the maximally
 // skewed 1-stable sampler: E[exp(-t X)] = exp((2/pi) t ln t), hence
 // kappa = E[exp(-(pi/2) X)] = pi/2. Verify by Monte Carlo.
