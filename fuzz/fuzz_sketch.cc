@@ -54,14 +54,6 @@ void Exercise(const JsonValue& doc) {
     if (sample.ok()) (void)sample->values();
     CheckFixedPoint(sample, &ReservoirToJson, &ReservoirFromJson);
   }
-  {
-    StatusOr<BitSignature> signature = SignatureFromJson(doc);
-    if (signature.ok() && signature->num_bits() > 0) {
-      (void)signature->bit(signature->num_bits() - 1);
-      (void)BitSignature::HammingDistance(*signature, *signature);
-    }
-    CheckFixedPoint(signature, &SignatureToJson, &SignatureFromJson);
-  }
   CheckFixedPoint(HyperplaneAccFromJson(doc), &HyperplaneAccToJson,
                   &HyperplaneAccFromJson);
   {
@@ -77,14 +69,6 @@ void Exercise(const JsonValue& doc) {
       (void)heavy->MaxError();
     }
     CheckFixedPoint(heavy, &SpaceSavingToJson, &SpaceSavingFromJson);
-  }
-  {
-    StatusOr<CountMinSketch> countmin = CountMinFromJson(doc);
-    if (countmin.ok()) {
-      (void)countmin->EstimateCount("x");
-      (void)countmin->ErrorBound();
-    }
-    CheckFixedPoint(countmin, &CountMinToJson, &CountMinFromJson);
   }
   {
     StatusOr<EntropySketch> entropy = EntropyFromJson(doc);

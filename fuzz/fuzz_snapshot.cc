@@ -12,15 +12,27 @@
 //      without payload verification.
 //   3. Full profile loading against a fixed table; accepted profiles must
 //      re-encode to a snapshot that inspects, loads, and re-encodes
-//      byte-identically.
+//      byte-identically, and then serve: a 1-worker engine answers a sketch
+//      query for every arity-2 class under each of its metrics and one for
+//      low_entropy, then takes a one-row append. A profile the loader
+//      accepts must never abort where a server would use it.
 //
 // The seed corpus contains a real snapshot of the same table the harness
-// loads against, so coverage reaches past the checksums into the profile
-// validators instead of dying at the prelude.
+// loads against (tier-1 test_snapshot checks that it loads), so coverage
+// reaches past the checksums into the profile validators and the serving
+// path instead of dying at the prelude. Regenerate it with
+//   foresight_snapshot build --synthetic-rows=48 --synthetic-numeric=3
+//       --synthetic-categorical=1 --seed=7 --csv-out=t.csv
+//       --out=corpus/snapshot/table_48x4.fsnap
+// and store the snapshot's payload document (the bytes after the prelude
+// and header) as corpus/snapshot/profile_doc.fjb1.
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "core/engine.h"
 #include "core/profile.h"
 #include "core/snapshot.h"
 #include "data/generators.h"
@@ -34,10 +46,43 @@ namespace {
 
 /// The table the seed-corpus snapshot was built from (see
 /// fuzz/corpus/snapshot/). Must stay in sync with that file.
+DataTable MakeFuzzTable() { return MakeBenchmarkTable(48, 3, 1, 7); }
+
 const DataTable& FuzzTable() {
-  static const DataTable* table =
-      new DataTable(MakeBenchmarkTable(48, 3, 1, 7));
+  static const DataTable* table = new DataTable(MakeFuzzTable());
   return *table;
+}
+
+/// Serves an accepted snapshot the way a registry dataset would, on a fresh
+/// copy of the table (the append grows it).
+void ServeSnapshot(std::string_view bytes) {
+  DataTable table = MakeFuzzTable();
+  StatusOr<TableProfile> profile = LoadProfileSnapshot(table, bytes);
+  FORESIGHT_CHECK(profile.ok());
+  EngineOptions options;
+  options.num_workers = 1;
+  StatusOr<InsightEngine> engine = InsightEngine::CreateFromProfile(
+      table, std::move(*profile), std::move(options));
+  FORESIGHT_CHECK(engine.ok());
+  const InsightClassRegistry& registry = engine->registry();
+  for (const std::string& name : registry.names()) {
+    const InsightClass& insight_class = *registry.Find(name);
+    std::vector<std::string> metrics = insight_class.metric_names();
+    if (name == "low_entropy") {
+      metrics = {""};  // The class default.
+    } else if (insight_class.arity() != 2) {
+      continue;
+    }
+    for (const std::string& metric : metrics) {
+      InsightQuery query;
+      query.class_name = name;
+      query.metric = metric;
+      query.mode = ExecutionMode::kSketch;
+      query.top_k = 3;
+      (void)engine->Execute(query);
+    }
+  }
+  (void)engine->AppendPartition(table, MakeBenchmarkTable(1, 3, 1, 8));
 }
 
 void ExerciseJsonBinary(std::string_view bytes) {
@@ -64,6 +109,8 @@ void ExerciseSnapshot(std::string_view bytes) {
   StatusOr<TableProfile> again = LoadProfileSnapshot(FuzzTable(), canonical);
   FORESIGHT_CHECK(again.ok());
   FORESIGHT_CHECK(EncodeProfileSnapshot(*again) == canonical);
+
+  ServeSnapshot(bytes);
 }
 
 }  // namespace

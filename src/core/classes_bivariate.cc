@@ -66,16 +66,10 @@ class LinearRelationshipClass final : public InsightClass {
     const NumericColumnSketch& a = profile.numeric_sketch(tuple.indices[0]);
     const NumericColumnSketch& b = profile.numeric_sketch(tuple.indices[1]);
     if (metric == "pearson_projection") {
-      // Profiles finalize (or load) with the centered projection cached;
-      // recompute only if a caller hands us a stale sketch.
-      const bool cached = a.centered_projection.k() > 0 &&
-                          b.centered_projection.k() > 0;
-      if (cached) {
-        return ProjectionSketch::EstimateCorrelation(a.centered_projection,
-                                                     b.centered_projection);
-      }
-      return ProjectionSketch::EstimateCorrelation(a.CenteredProjection(),
-                                                   b.CenteredProjection());
+      // Every profile's sketches are finalized (after a build, an append and
+      // a load), so the centered projection is always cached.
+      return ProjectionSketch::EstimateCorrelation(a.centered_projection,
+                                                   b.centered_projection);
     }
     return HyperplaneSketcher::EstimateCorrelation(a.signature, b.signature);
   }

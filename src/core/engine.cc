@@ -226,7 +226,7 @@ StatusOr<InsightEngine> InsightEngine::Create(const DataTable& table,
 }
 
 uint64_t InsightEngine::serving_epoch() const {
-  return engine_epoch_.load() + table_->schema().version();
+  return table_->schema().version();
 }
 
 StatusOr<InsightEngine> InsightEngine::CreateFromProfile(

@@ -13,7 +13,6 @@
 #include "data/table.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace foresight {
@@ -30,7 +29,8 @@ struct EngineOptions {
   /// way (gated by test); only telemetry differs.
   bool collect_metrics = true;
   /// Registry to use; when empty (default) the 12 built-in classes are used.
-  /// Additional classes can be registered afterwards via mutable_registry().
+  /// It is fixed for the engine's life: to plug in a class, register it on a
+  /// registry built here (e.g. from InsightClassRegistry::CreateDefault()).
   std::optional<InsightClassRegistry> registry;
   /// Total threads for preprocessing, candidate evaluation and pairwise
   /// overviews (the paper's §5 future work: "parallel search methods that
@@ -141,20 +141,13 @@ class InsightEngine {
 
   const DataTable& table() const { return *table_; }
   const InsightClassRegistry& registry() const { return registry_; }
-  /// Mutable registry access for plugging in insight classes. Conservatively
-  /// bumps the serving epoch on every call (the caller may register or alter
-  /// classes through the reference), invalidating all cached query results.
-  InsightClassRegistry& mutable_registry() {
-    engine_epoch_.fetch_add(1);
-    return registry_;
-  }
   bool has_profile() const { return profile_.has_value(); }
   const TableProfile& profile() const { return *profile_; }
 
-  /// Monotonic invalidation epoch for the QuerySession result cache. Bumped
-  /// by mutable_registry() access and — via the schema's mutation counter —
-  /// by table tag/column changes and row appends (AppendPartition), so a
-  /// cached result can never outlive the state that produced it.
+  /// Monotonic invalidation epoch for the QuerySession result cache: the
+  /// table schema's mutation counter, which table tag/column changes and row
+  /// appends (AppendPartition) bump, so a cached result can never outlive
+  /// the state that produced it. The registry is fixed at construction.
   uint64_t serving_epoch() const;
 
   /// Appends `delta`'s rows to `table` — which must be the very table this
@@ -324,11 +317,6 @@ class InsightEngine {
   /// Declared before pool_, which is built with it.
   std::shared_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Engine-local slice of the serving epoch (registry mutations); the
-  /// schema's mutation counter contributes the table-side slice. Atomic:
-  /// serving threads read it through serving_epoch() concurrently with
-  /// mutable_registry() bumps on an administrative thread.
-  RelaxedAtomic<uint64_t> engine_epoch_{0};
 };
 
 }  // namespace foresight

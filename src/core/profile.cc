@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -30,38 +31,36 @@ size_t BlockGrain(size_t items, const ThreadPool& pool) {
 /// A partition layout: contiguous [begin, end) row ranges in ascending order.
 using RowRanges = std::vector<std::pair<size_t, size_t>>;
 
-/// Resolves the partition layout for a table of `n` rows: explicit
-/// partition_boundaries when given (validated: non-decreasing, ending at n),
-/// else num_partitions near-equal splits.
+/// Resolves the partition layout for a table of `n` rows: partition_boundaries
+/// (validated: non-decreasing, ending at n), or one range when empty.
 StatusOr<RowRanges> ResolveRanges(size_t n, const PreprocessOptions& options) {
+  if (options.partition_boundaries.empty()) return RowRanges{{0, n}};
   RowRanges ranges;
-  if (!options.partition_boundaries.empty()) {
-    size_t prev = 0;
-    for (size_t boundary : options.partition_boundaries) {
-      if (boundary < prev || boundary > n) {
-        return Status::InvalidArgument(
-            "partition_boundaries must be non-decreasing row offsets within "
-            "the table");
-      }
-      ranges.emplace_back(prev, boundary);
-      prev = boundary;
-    }
-    if (prev != n) {
+  size_t prev = 0;
+  for (size_t boundary : options.partition_boundaries) {
+    if (boundary < prev || boundary > n) {
       return Status::InvalidArgument(
-          "the last partition boundary must equal the table's row count");
+          "partition_boundaries must be non-decreasing row offsets within "
+          "the table");
     }
-    return ranges;
+    ranges.emplace_back(prev, boundary);
+    prev = boundary;
   }
-  if (options.num_partitions == 0) {
-    return Status::InvalidArgument("num_partitions must be >= 1");
-  }
-  size_t parts = std::max<size_t>(
-      1, std::min(options.num_partitions, std::max<size_t>(1, n)));
-  ranges.reserve(parts);
-  for (size_t p = 0; p < parts; ++p) {
-    ranges.emplace_back(n * p / parts, n * (p + 1) / parts);
+  if (prev != n) {
+    return Status::InvalidArgument(
+        "the last partition boundary must equal the table's row count");
   }
   return ranges;
+}
+
+/// The profile document version ToJson writes and LoadProfile accepts. Bump
+/// it whenever the stored state changes, so older snapshots are rebuilt.
+constexpr int kProfileVersion = 2;
+
+Status GeometryError(const std::string& column) {
+  return Status::InvalidArgument(
+      "column '" + column +
+      "' has sketch sizes or seeds that differ from the profile config");
 }
 
 /// The shared row sample: uniform without replacement, ascending. Depends
@@ -336,8 +335,6 @@ size_t TableProfile::EstimateMemoryBytes() const {
   // determinism-ok: integer sums are order-independent.
   for (const auto& [col, sketch] : categorical_) {
     bytes += sketch.entropy.registers().size() * sizeof(double);
-    bytes += sketch.frequencies.width() * sketch.frequencies.depth() *
-             sizeof(uint64_t);
     bytes += sketch.heavy_hitters.num_monitored() * 64;  // rough per-counter
   }
   // Materialized per-column sample vectors all sum the same way; one helper
@@ -360,7 +357,7 @@ size_t TableProfile::EstimateMemoryBytes() const {
 JsonValue TableProfile::ToJson() const {
   JsonValue json = JsonValue::Object();
   json.Set("format", "foresight.profile");
-  json.Set("version", 1);
+  json.Set("version", kProfileVersion);
   json.Set("num_rows", table_->num_rows());
   json.Set("config", SketchConfigToJson(config_));
   json.Set("preprocess_seconds", preprocess_seconds_);
@@ -424,6 +421,11 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
       format->as_string() != "foresight.profile") {
     return Status::ParseError("not a foresight profile document");
   }
+  const JsonValue* version = json.Get("version");
+  if (version == nullptr || !version->is_number() ||
+      version->as_number() != kProfileVersion) {
+    return Status::InvalidArgument("unsupported profile document version");
+  }
   const JsonValue* num_rows = json.Get("num_rows");
   if (num_rows == nullptr || !num_rows->is_number() ||
       SizeFromJsonNumber(num_rows->as_number()) != table.num_rows()) {
@@ -439,6 +441,7 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
                              SketchConfigFromJson(*config_json));
   profile.builder_ =
       std::make_unique<BundleBuilder>(profile.config_, table.num_rows());
+  const BundleBuilder& builder = *profile.builder_;
   if (const JsonValue* seconds = json.Get("preprocess_seconds");
       seconds != nullptr && seconds->is_number()) {
     profile.preprocess_seconds_ = seconds->as_number();
@@ -484,9 +487,8 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
     }
     FORESIGHT_ASSIGN_OR_RETURN(NumericColumnSketch sketch,
                                NumericSketchFromJson(sketch_json));
-    // The centered-projection cache is derived state and never serialized;
-    // rebuild it so loaded profiles serve pairwise metrics at full speed.
-    sketch.RefreshCenteredProjection();
+    if (!builder.MatchesGeometry(sketch)) return GeometryError(name);
+    builder.FinalizeNumeric(sketch);
     profile.numeric_.emplace(column, std::move(sketch));
   }
   const JsonValue* categorical = json.Get("categorical");
@@ -501,6 +503,7 @@ StatusOr<TableProfile> Preprocessor::LoadProfile(const DataTable& table,
     }
     FORESIGHT_ASSIGN_OR_RETURN(CategoricalColumnSketch sketch,
                                CategoricalSketchFromJson(sketch_json));
+    if (!builder.MatchesGeometry(sketch)) return GeometryError(name);
     profile.categorical_.emplace(column, std::move(sketch));
   }
   // Every column must be covered.

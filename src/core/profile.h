@@ -20,7 +20,7 @@ class ThreadPool;
 /// pass over the table (§3: "the dataset is preprocessed to compute sketches,
 /// samples, and indexes that will support fast approximate insight querying"):
 ///   - a sketch bundle per column (moments, KLL, reservoir, hyperplane
-///     signature, JL projection / SpaceSaving, Count-Min, entropy sketch);
+///     signature, JL projection / SpaceSaving, entropy sketch);
 ///   - a shared uniform ROW sample (row-aligned across columns), used by
 ///     metrics that need joint raw points (Spearman, mutual information,
 ///     segmentation);
@@ -76,10 +76,13 @@ class TableProfile {
   size_t EstimateMemoryBytes() const;
 
   /// Serializes the full profile (config, row sample, every column's sketch
-  /// bundle) to versioned JSON. Preprocessing is the expensive step; a
-  /// deployment persists the profile once and serves many sessions from it.
-  /// Sampled column values are NOT stored — they re-materialize from the
-  /// stored row ids against the table at load time.
+  /// bundle) to a version-2 JSON document. Preprocessing is the expensive
+  /// step; a deployment persists the profile once and serves many sessions
+  /// from it. Derived state is not stored: sampled column values
+  /// re-materialize from the stored row ids against the table at load time,
+  /// and each numeric column's signature and centered projection are derived
+  /// again by BundleBuilder::FinalizeNumeric. The non-null sample midranks
+  /// are the exception, stored because they spare a per-column sort on load.
   JsonValue ToJson() const;
 
  private:
@@ -103,16 +106,14 @@ struct PreprocessOptions {
   SketchConfig sketch;
   /// Size of the shared row sample.
   size_t row_sample_size = 2048;
-  /// Number of row partitions to preprocess independently and merge; > 1
-  /// exercises (and demonstrates) sketch composability. 1 = single pass.
-  size_t num_partitions = 1;
-  /// Explicit partition layout: ascending row end-offsets, the last equal to
-  /// the table's row count (e.g. {1000, 1010} = rows [0,1000) then
-  /// [1000,1010)). Overrides num_partitions when non-empty; empty partitions
-  /// are allowed and skipped. This is how an append history is replayed as a
-  /// from-scratch build: a profile grown by AppendToProfile at these
-  /// boundaries is bit-identical to Profile() over the full table with the
-  /// same boundaries (the gate in test_append_equivalence).
+  /// Partition layout: ascending row end-offsets, the last equal to the
+  /// table's row count (e.g. {1000, 1010} = rows [0,1000) then [1000,1010));
+  /// empty (the default) is one pass over every row. Each partition is
+  /// sketched independently and the partials merge in order; empty
+  /// partitions are allowed and skipped. This is how an append history is
+  /// replayed as a from-scratch build: a profile grown by AppendToProfile at
+  /// these boundaries is bit-identical to Profile() over the full table with
+  /// the same boundaries (the gate in test_append_equivalence).
   std::vector<size_t> partition_boundaries;
   /// Rows per cached random panel block (0 = auto). Peak panel memory is
   /// O(resident blocks * block_rows * (hyperplane_bits + projection_dims) * 8
@@ -125,7 +126,7 @@ class Preprocessor {
  public:
   /// Profiles every column of `table`. The returned profile references
   /// `table`, which must outlive it. The per-column sketch bundles (and, with
-  /// num_partitions > 1, the per-partition partials feeding each merge) are
+  /// several partitions, the per-partition partials feeding each merge) are
   /// built on `pool`; a null `pool` runs on a one-thread pool, inline.
   /// Because every row's random hyperplane/projection components derive only
   /// from (seed, row) and each column's sketches see their rows in the same
@@ -163,7 +164,11 @@ class Preprocessor {
 
   /// Restores a profile persisted by TableProfile::ToJson against `table`
   /// (which must be the table it was built from: column names/types and row
-  /// count are validated). The table must outlive the profile. The sample
+  /// count are validated). The table must outlive the profile. Only version-2
+  /// documents load, and every column's sketches must match the geometry the
+  /// document's own config gives (BundleBuilder::MatchesGeometry), so a
+  /// hostile document is refused here rather than aborting a later query or
+  /// append. Numeric sketches are finalized as after a build. The sample
   /// vectors rematerialize on `pool` (a null `pool` runs inline); the
   /// restored profile is bit-identical either way (see MaterializeSamples).
   static StatusOr<TableProfile> LoadProfile(const DataTable& table,

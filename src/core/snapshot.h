@@ -18,11 +18,12 @@ class ThreadPool;
 ///
 /// The paper's premise (§3) is that preprocessing is paid once so queries
 /// stay interactive — but a process restart used to re-pay the full
-/// `Preprocessor::Profile` cost per table. A snapshot persists the complete
-/// profile (sketch config, shared row sample, every column's sketch bundle)
-/// so attaching a dataset costs milliseconds of decoding instead of a
-/// rebuild. Contents go through the same hostile-input-hardened per-sketch
-/// serializers as the JSON profile documents (`TableProfile::ToJson` /
+/// `Preprocessor::Profile` cost per table. A snapshot persists the profile's
+/// mergeable state (sketch config, shared row sample, every column's sketch
+/// bundle; derived signatures are rebuilt on load) so attaching a dataset
+/// costs milliseconds of decoding instead of a rebuild. Contents go through
+/// the same hostile-input-hardened per-sketch serializers as the JSON
+/// profile documents (`TableProfile::ToJson` /
 /// `Preprocessor::LoadProfile`), but the document travels as the FJB1
 /// binary JsonValue encoding (util/json_binary.h): doubles are bit-exact raw
 /// bytes, so a loaded profile is bit-identical to the freshly preprocessed
@@ -46,9 +47,11 @@ class ThreadPool;
 /// both checksums are verified before any payload decoding.
 ///
 /// Versioning: the reader accepts only `kSnapshotFormatVersion`; the
-/// embedded profile document additionally carries the profile-format version
-/// checked by `Preprocessor::LoadProfile`. Snapshots are a cache, never the
-/// source of truth — on any mismatch callers fall back to re-preprocessing.
+/// embedded profile document additionally carries its own version (2), and
+/// `Preprocessor::LoadProfile` refuses any other, as it refuses columns whose
+/// sketch geometry disagrees with the document's config. Snapshots are a
+/// cache, never the source of truth — on any mismatch callers fall back to
+/// re-preprocessing.
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 inline constexpr std::string_view kSnapshotMagic = "FSNAPBIN";
 inline constexpr size_t kSnapshotPreludeBytes = 48;

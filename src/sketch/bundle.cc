@@ -11,8 +11,7 @@ namespace foresight {
 size_t SketchConfig::ResolveHyperplaneBits(size_t n_rows) const {
   if (hyperplane_bits > 0) return hyperplane_bits;
   double log2n = std::log2(static_cast<double>(std::max<size_t>(2, n_rows)));
-  double bits = hyperplane_log2_factor * log2n * log2n;
-  size_t rounded = static_cast<size_t>(std::ceil(bits / 64.0)) * 64;
+  size_t rounded = static_cast<size_t>(std::ceil(log2n * log2n / 64.0)) * 64;
   return std::max<size_t>(64, rounded);
 }
 
@@ -57,20 +56,16 @@ ProjectionSketch NumericColumnSketch::CenteredProjection() const {
 void CategoricalColumnSketch::Merge(const CategoricalColumnSketch& other) {
   // Same short-circuits as NumericColumnSketch::Merge: identity on an empty
   // operand, byte-for-byte adoption into an empty receiver.
-  if (other.observed_count == 0 && other.heavy_hitters.total_count() == 0 &&
-      other.frequencies.total_count() == 0 &&
+  if (other.heavy_hitters.total_count() == 0 &&
       other.entropy.total_count() == 0) {
     return;
   }
-  if (observed_count == 0 && heavy_hitters.total_count() == 0 &&
-      frequencies.total_count() == 0 && entropy.total_count() == 0) {
+  if (heavy_hitters.total_count() == 0 && entropy.total_count() == 0) {
     *this = other;
     return;
   }
   heavy_hitters.Merge(other.heavy_hitters);
-  frequencies.Merge(other.frequencies);
   entropy.Merge(other.entropy);
-  observed_count += other.observed_count;
 }
 
 BundleBuilder::BundleBuilder(const SketchConfig& config, size_t n_rows)
@@ -96,11 +91,35 @@ NumericColumnSketch BundleBuilder::MakeNumericSketch() const {
 CategoricalColumnSketch BundleBuilder::MakeCategoricalSketch() const {
   CategoricalColumnSketch sketch;
   sketch.heavy_hitters = SpaceSavingSketch(config_.spacesaving_capacity);
-  sketch.frequencies = CountMinSketch(config_.countmin_width,
-                                      config_.countmin_depth,
-                                      config_.seed ^ 0x3333);
   sketch.entropy = EntropySketch(config_.entropy_k, config_.seed ^ 0x4444);
   return sketch;
+}
+
+bool BundleBuilder::MatchesGeometry(const NumericColumnSketch& sketch) const {
+  // Widths compare without building anything, and the factory never sizes a
+  // reservoir below the config's capacity. Past these tests the empty sketch
+  // allocates no more than the checked one holds, however large the config.
+  if (sketch.hyperplane_acc.dot.size() != hyperplane_bits_ ||
+      sketch.hyperplane_acc.ones_dot.size() != hyperplane_bits_ ||
+      sketch.projection.k() != config_.projection_dims ||
+      sketch.projection_ones.k() != config_.projection_dims ||
+      sketch.sample.capacity() < config_.reservoir_capacity) {
+    return false;
+  }
+  const NumericColumnSketch empty = MakeNumericSketch();
+  return sketch.quantiles.k_param() == empty.quantiles.k_param() &&
+         sketch.sample.capacity() == empty.sample.capacity();
+}
+
+bool BundleBuilder::MatchesGeometry(
+    const CategoricalColumnSketch& sketch) const {
+  // The factory never sizes an entropy sketch below the config's k; past
+  // this test the empty sketch holds no more registers than the checked one.
+  if (sketch.entropy.k() < config_.entropy_k) return false;
+  const CategoricalColumnSketch empty = MakeCategoricalSketch();
+  return sketch.heavy_hitters.capacity() == empty.heavy_hitters.capacity() &&
+         sketch.entropy.k() == empty.entropy.k() &&
+         sketch.entropy.seed() == empty.entropy.seed();
 }
 
 void BundleBuilder::AccumulateNumeric(const NumericColumn& column,
@@ -277,7 +296,7 @@ void BundleBuilder::AccumulateRowValue(
 void BundleBuilder::FinalizeNumeric(NumericColumnSketch& sketch) const {
   sketch.signature = hyperplane_sketcher_.Finalize(sketch.hyperplane_acc,
                                                    sketch.moments.mean());
-  sketch.RefreshCenteredProjection();
+  sketch.centered_projection = sketch.CenteredProjection();
 }
 
 void BundleBuilder::AccumulateCategorical(const CategoricalColumn& column,
@@ -297,9 +316,7 @@ void BundleBuilder::AccumulateCategorical(const CategoricalColumn& column,
     const std::string& value =
         column.dictionary_value(static_cast<int32_t>(code));
     sketch.heavy_hitters.Update(value, counts[code]);
-    sketch.frequencies.Update(value, counts[code]);
     sketch.entropy.Update(value, counts[code]);
-    sketch.observed_count += counts[code];
   }
 }
 

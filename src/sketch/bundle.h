@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "data/column.h"
-#include "sketch/countmin.h"
 #include "sketch/panel_cache.h"
 #include "sketch/entropy.h"
 #include "sketch/kll.h"
@@ -22,16 +21,12 @@ namespace foresight {
 /// Tunable sizes for the per-column sketch bundles.
 struct SketchConfig {
   /// Hyperplane bits for correlation estimation. The paper prescribes
-  /// k = O(log^2 n); 0 means "auto": round up hyperplane_log2_factor * log2(n)^2
-  /// to a multiple of 64.
+  /// k = O(log^2 n); 0 means "auto": round log2(n)^2 up to a multiple of 64.
   size_t hyperplane_bits = 0;
-  double hyperplane_log2_factor = 1.0;
   size_t projection_dims = 64;
   size_t kll_k = 200;
   size_t reservoir_capacity = 1024;
   size_t spacesaving_capacity = 64;
-  size_t countmin_width = 512;
-  size_t countmin_depth = 4;
   size_t entropy_k = 128;
   uint64_t seed = 0xF0E51647;
 
@@ -47,9 +42,12 @@ struct NumericColumnSketch {
   RunningMoments moments;
   KllSketch quantiles;
   ReservoirSample sample;
-  /// Raw mergeable accumulator; finalized into `signature` once the global
-  /// mean is known.
+  /// Raw mergeable accumulator; BundleBuilder::FinalizeNumeric derives
+  /// `signature` from it and the mean.
   HyperplaneAccumulator hyperplane_acc;
+  /// Derived: a pure function of `hyperplane_acc` and the mean, so never
+  /// serialized. Every profile's sketches are finalized after a build, an
+  /// append merge and a load.
   BitSignature signature;
   /// JL projection of the RAW column plus the projection of the all-ones
   /// indicator over the same (valid) rows; centering composes as
@@ -57,28 +55,22 @@ struct NumericColumnSketch {
   ProjectionSketch projection;
   ProjectionSketch projection_ones;
   /// Derived cache: CenteredProjection() materialized at finalize time so
-  /// pairwise metrics don't re-center per pair. Empty (k() == 0) when stale;
-  /// never serialized. Refresh with RefreshCenteredProjection().
+  /// pairwise metrics don't re-center per pair. Empty (k() == 0) until
+  /// FinalizeNumeric runs; never serialized.
   ProjectionSketch centered_projection;
 
   /// Projection of the centered column, using the final mean.
   ProjectionSketch CenteredProjection() const;
 
-  /// Recomputes `centered_projection` from the current members.
-  void RefreshCenteredProjection() { centered_projection = CenteredProjection(); }
-
-  /// Merges a sketch of a disjoint row range of the same column. Invalidates
-  /// `centered_projection` (the mean changes).
+  /// Merges a sketch of a disjoint row range of the same column. Leaves the
+  /// derived members stale (the mean changes) until FinalizeNumeric.
   void Merge(const NumericColumnSketch& other);
 };
 
-/// All sketch state for one CATEGORICAL column: frequent items, point
-/// frequencies, entropy, and an exact distinct-count of dictionary codes.
+/// All sketch state for one CATEGORICAL column: frequent items and entropy.
 struct CategoricalColumnSketch {
   SpaceSavingSketch heavy_hitters;
-  CountMinSketch frequencies;
   EntropySketch entropy;
-  uint64_t observed_count = 0;
 
   void Merge(const CategoricalColumnSketch& other);
 };
@@ -116,9 +108,19 @@ class BundleBuilder {
     return projection_sketcher_;
   }
 
-  /// Creates empty sketches sized per the config.
+  /// Creates empty sketches sized per the config. These two factories state
+  /// a profile's sketch geometry.
   NumericColumnSketch MakeNumericSketch() const;
   CategoricalColumnSketch MakeCategoricalSketch() const;
+
+  /// True when `sketch` has the sizes and seeds of the empty sketch the
+  /// matching factory builds: hyperplane and projection widths, KLL k and
+  /// reservoir capacity; SpaceSaving capacity, entropy k and entropy seed.
+  /// Sketches of one geometry pair with each other and merge with the
+  /// builder's deltas, so LoadProfile holds every column to this rule rather
+  /// than let a mismatch abort the first query or append.
+  bool MatchesGeometry(const NumericColumnSketch& sketch) const;
+  bool MatchesGeometry(const CategoricalColumnSketch& sketch) const;
 
   /// Folds rows [row_offset, ...) of a column into a sketch, generating each
   /// row's random components as it goes. Null rows are skipped for value
@@ -173,7 +175,9 @@ class BundleBuilder {
                              size_t row_end,
                              CategoricalColumnSketch& sketch) const;
 
-  /// Finalizes the hyperplane signature once all rows are accumulated.
+  /// Derives the signature and the centered projection from the mergeable
+  /// members: the one place finalized state is made, after a build, an
+  /// append merge and a load.
   void FinalizeNumeric(NumericColumnSketch& sketch) const;
 
   /// One-shot: sketch a full column.

@@ -27,21 +27,19 @@ JsonValue U64(uint64_t value) {
   return JsonValue(std::string(buffer));
 }
 
-StatusOr<uint64_t> U64FromDouble(double d, const char* field) {
-  // Reject NaN (the !(d >= 0) form), negatives, fractions, and values at or
-  // beyond 2^64: casting any of those to uint64_t is undefined behavior.
-  if (!(d >= 0.0) || d >= 18446744073709551616.0 || d != std::floor(d)) {
-    return Status::ParseError(std::string("field not a valid u64: ") + field);
-  }
-  return static_cast<uint64_t>(d);
-}
-
 StatusOr<uint64_t> ParseU64(const JsonValue* json, const char* field) {
   if (json == nullptr) {
     return Status::ParseError(std::string("missing field: ") + field);
   }
   if (json->is_number()) {
-    return U64FromDouble(json->as_number(), field);
+    // Reject NaN (the !(d >= 0) form), negatives, fractions, and values at or
+    // beyond 2^64: casting any of those to uint64_t is undefined behavior.
+    const double d = json->as_number();
+    if (!(d >= 0.0) || d >= 18446744073709551616.0 || d != std::floor(d)) {
+      return Status::ParseError(std::string("field not a valid u64: ") +
+                                field);
+    }
+    return static_cast<uint64_t>(d);
   }
   if (!json->is_string()) {
     return Status::ParseError(std::string("field not u64: ") + field);
@@ -205,64 +203,6 @@ StatusOr<ReservoirSample> ReservoirFromJson(const JsonValue& json) {
                                   std::move(values));
 }
 
-JsonValue SignatureToJson(const BitSignature& signature) {
-  JsonValue json = JsonValue::Object();
-  json.Set("bits", signature.num_bits());
-  JsonValue words = JsonValue::Array();
-  for (uint64_t word : signature.words()) {
-    char buffer[20];
-    std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, word);
-    words.Append(std::string(buffer));
-  }
-  json.Set("words", std::move(words));
-  return json;
-}
-
-StatusOr<BitSignature> SignatureFromJson(const JsonValue& json) {
-  // Bounding `bits` first keeps the `(bits + 63) / 64` geometry check below
-  // overflow-free; without it, bits near 2^64 would wrap the expected word
-  // count to a tiny value and admit a signature whose advertised width far
-  // exceeds its backing words (an over-read for any prefix operation).
-  FORESIGHT_ASSIGN_OR_RETURN(size_t bits,
-                             ParseBoundedSize(json.Get("bits"), "bits"));
-  const JsonValue* words_json = json.Get("words");
-  if (words_json == nullptr || !words_json->is_array()) {
-    return Status::ParseError("missing signature words");
-  }
-  std::vector<uint64_t> words;
-  words.reserve(words_json->size());
-  for (size_t i = 0; i < words_json->size(); ++i) {
-    if (!words_json->at(i).is_string()) {
-      return Status::ParseError("signature word not a hex string");
-    }
-    // Strict hex parse: 1-16 hex digits, nothing else (strtoull would accept
-    // signs, whitespace, and 0x prefixes).
-    const std::string& hex = words_json->at(i).as_string();
-    if (hex.empty() || hex.size() > 16) {
-      return Status::ParseError("bad signature hex word");
-    }
-    uint64_t word = 0;
-    for (char c : hex) {
-      int digit;
-      if (c >= '0' && c <= '9') {
-        digit = c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        digit = c - 'a' + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        digit = c - 'A' + 10;
-      } else {
-        return Status::ParseError("bad signature hex word");
-      }
-      word = (word << 4) | static_cast<uint64_t>(digit);
-    }
-    words.push_back(word);
-  }
-  if (words.size() != (bits + 63) / 64) {
-    return Status::ParseError("signature word count mismatch");
-  }
-  return BitSignature::FromWords(bits, std::move(words));
-}
-
 JsonValue HyperplaneAccToJson(const HyperplaneAccumulator& acc) {
   JsonValue json = JsonValue::Object();
   json.Set("dot", DoubleArray(acc.dot));
@@ -348,68 +288,6 @@ StatusOr<SpaceSavingSketch> SpaceSavingFromJson(const JsonValue& json) {
   return SpaceSavingSketch::FromRaw(capacity, total, std::move(counters));
 }
 
-JsonValue CountMinToJson(const CountMinSketch& sketch) {
-  JsonValue json = JsonValue::Object();
-  json.Set("width", sketch.width());
-  json.Set("depth", sketch.depth());
-  json.Set("seed", U64(sketch.seed()));
-  json.Set("total", U64(sketch.total_count()));
-  // Cells are per-bucket hit counts, in practice far below 2^53, so they
-  // almost always travel as a packed number array (one node instead of
-  // thousands of decimal strings). Any cell past exact-double range falls
-  // back to the string encoding for the whole array; ParseU64 reads both.
-  bool exact_as_doubles = true;
-  for (uint64_t c : sketch.cells()) {
-    exact_as_doubles = exact_as_doubles && c < (uint64_t{1} << 53);
-  }
-  if (exact_as_doubles) {
-    json.Set("cells",
-             JsonValue::PackedNumberArray(std::vector<double>(
-                 sketch.cells().begin(), sketch.cells().end())));
-  } else {
-    JsonValue cells = JsonValue::Array();
-    for (uint64_t c : sketch.cells()) cells.Append(U64(c));
-    json.Set("cells", std::move(cells));
-  }
-  return json;
-}
-
-StatusOr<CountMinSketch> CountMinFromJson(const JsonValue& json) {
-  FORESIGHT_ASSIGN_OR_RETURN(size_t width,
-                             ParseBoundedSize(json.Get("width"), "width"));
-  FORESIGHT_ASSIGN_OR_RETURN(size_t depth,
-                             ParseBoundedSize(json.Get("depth"), "depth"));
-  FORESIGHT_ASSIGN_OR_RETURN(uint64_t seed, ParseU64(json.Get("seed"), "seed"));
-  FORESIGHT_ASSIGN_OR_RETURN(uint64_t total, ParseU64(json.Get("total"), "total"));
-  const JsonValue* cells_json = json.Get("cells");
-  if (cells_json == nullptr || !cells_json->is_array()) {
-    return Status::ParseError("missing CountMin cells");
-  }
-  // Validate the geometry before constructing: the sketch allocates
-  // width * depth cells up front, so the product must both match the payload
-  // and stay within the sanity bound. Both factors are already bounded, so
-  // the product cannot overflow size_t.
-  if (width * depth != cells_json->size() ||
-      width * depth > kMaxSketchDimension) {
-    return Status::ParseError("CountMin cell count does not match geometry");
-  }
-  std::vector<uint64_t> cells;
-  cells.reserve(cells_json->size());
-  if (const std::vector<double>* packed = cells_json->packed_numbers()) {
-    for (double d : *packed) {
-      FORESIGHT_ASSIGN_OR_RETURN(uint64_t cell, U64FromDouble(d, "cell"));
-      cells.push_back(cell);
-    }
-  } else {
-    for (size_t i = 0; i < cells_json->size(); ++i) {
-      FORESIGHT_ASSIGN_OR_RETURN(uint64_t cell,
-                                 ParseU64(&cells_json->at(i), "cell"));
-      cells.push_back(cell);
-    }
-  }
-  return CountMinSketch::FromRaw(width, depth, seed, total, std::move(cells));
-}
-
 JsonValue EntropyToJson(const EntropySketch& sketch) {
   JsonValue json = JsonValue::Object();
   json.Set("k", sketch.k());
@@ -439,7 +317,6 @@ JsonValue NumericSketchToJson(const NumericColumnSketch& sketch) {
   json.Set("quantiles", KllToJson(sketch.quantiles));
   json.Set("sample", ReservoirToJson(sketch.sample));
   json.Set("hyperplane_acc", HyperplaneAccToJson(sketch.hyperplane_acc));
-  json.Set("signature", SignatureToJson(sketch.signature));
   json.Set("projection", ProjectionToJson(sketch.projection));
   json.Set("projection_ones", ProjectionToJson(sketch.projection_ones));
   return json;
@@ -460,9 +337,6 @@ StatusOr<NumericColumnSketch> NumericSketchFromJson(const JsonValue& json) {
   if (field == nullptr) return Status::ParseError("missing hyperplane_acc");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.hyperplane_acc,
                              HyperplaneAccFromJson(*field));
-  field = json.Get("signature");
-  if (field == nullptr) return Status::ParseError("missing signature");
-  FORESIGHT_ASSIGN_OR_RETURN(sketch.signature, SignatureFromJson(*field));
   field = json.Get("projection");
   if (field == nullptr) return Status::ParseError("missing projection");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.projection, ProjectionFromJson(*field));
@@ -483,9 +357,7 @@ StatusOr<NumericColumnSketch> NumericSketchFromJson(const JsonValue& json) {
 JsonValue CategoricalSketchToJson(const CategoricalColumnSketch& sketch) {
   JsonValue json = JsonValue::Object();
   json.Set("heavy_hitters", SpaceSavingToJson(sketch.heavy_hitters));
-  json.Set("frequencies", CountMinToJson(sketch.frequencies));
   json.Set("entropy", EntropyToJson(sketch.entropy));
-  json.Set("observed_count", U64(sketch.observed_count));
   return json;
 }
 
@@ -495,28 +367,19 @@ StatusOr<CategoricalColumnSketch> CategoricalSketchFromJson(
   const JsonValue* field = json.Get("heavy_hitters");
   if (field == nullptr) return Status::ParseError("missing heavy_hitters");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.heavy_hitters, SpaceSavingFromJson(*field));
-  field = json.Get("frequencies");
-  if (field == nullptr) return Status::ParseError("missing frequencies");
-  FORESIGHT_ASSIGN_OR_RETURN(sketch.frequencies, CountMinFromJson(*field));
   field = json.Get("entropy");
   if (field == nullptr) return Status::ParseError("missing entropy");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.entropy, EntropyFromJson(*field));
-  FORESIGHT_ASSIGN_OR_RETURN(
-      uint64_t observed, ParseU64(json.Get("observed_count"), "observed_count"));
-  sketch.observed_count = observed;
   return sketch;
 }
 
 JsonValue SketchConfigToJson(const SketchConfig& config) {
   JsonValue json = JsonValue::Object();
   json.Set("hyperplane_bits", config.hyperplane_bits);
-  json.Set("hyperplane_log2_factor", config.hyperplane_log2_factor);
   json.Set("projection_dims", config.projection_dims);
   json.Set("kll_k", config.kll_k);
   json.Set("reservoir_capacity", config.reservoir_capacity);
   json.Set("spacesaving_capacity", config.spacesaving_capacity);
-  json.Set("countmin_width", config.countmin_width);
-  json.Set("countmin_depth", config.countmin_depth);
   json.Set("entropy_k", config.entropy_k);
   json.Set("seed", U64(config.seed));
   return json;
@@ -530,12 +393,13 @@ StatusOr<SketchConfig> SketchConfigFromJson(const JsonValue& json) {
   FORESIGHT_ASSIGN_OR_RETURN(
       config.hyperplane_bits,
       ParseBoundedSize(json.Get("hyperplane_bits"), "hyperplane_bits"));
-  FORESIGHT_ASSIGN_OR_RETURN(config.hyperplane_log2_factor,
-                             ParseNumber(json.Get("hyperplane_log2_factor"),
-                                         "hyperplane_log2_factor"));
   FORESIGHT_ASSIGN_OR_RETURN(
       config.projection_dims,
       ParseBoundedSize(json.Get("projection_dims"), "projection_dims"));
+  // Unlike hyperplane_bits, 0 is not "auto": a projection needs a dimension.
+  if (config.projection_dims == 0) {
+    return Status::ParseError("projection_dims must be at least 1");
+  }
   FORESIGHT_ASSIGN_OR_RETURN(config.kll_k,
                              ParseBoundedSize(json.Get("kll_k"), "kll_k"));
   FORESIGHT_ASSIGN_OR_RETURN(
@@ -545,15 +409,6 @@ StatusOr<SketchConfig> SketchConfigFromJson(const JsonValue& json) {
       config.spacesaving_capacity,
       ParseBoundedSize(json.Get("spacesaving_capacity"),
                        "spacesaving_capacity"));
-  FORESIGHT_ASSIGN_OR_RETURN(
-      config.countmin_width,
-      ParseBoundedSize(json.Get("countmin_width"), "countmin_width"));
-  FORESIGHT_ASSIGN_OR_RETURN(
-      config.countmin_depth,
-      ParseBoundedSize(json.Get("countmin_depth"), "countmin_depth"));
-  if (config.countmin_width * config.countmin_depth > kMaxSketchDimension) {
-    return Status::ParseError("countmin geometry exceeds sanity bound");
-  }
   FORESIGHT_ASSIGN_OR_RETURN(
       config.entropy_k, ParseBoundedSize(json.Get("entropy_k"), "entropy_k"));
   FORESIGHT_ASSIGN_OR_RETURN(config.seed, ParseU64(json.Get("seed"), "seed"));

@@ -7,13 +7,15 @@
 
 namespace foresight {
 
-/// JSON (de)serialization for every sketch and for whole column bundles.
+/// JSON (de)serialization for every persisted sketch and for whole column
+/// bundles.
 ///
 /// Preprocessing is the expensive step (§3); persisting the sketch state lets
 /// a deployment preprocess once and serve many exploration sessions. The
 /// format is versioned JSON: self-describing, diff-able, and stable across
-/// platforms (bit signatures are hex-encoded words; doubles round-trip via
-/// 17-digit decimal).
+/// platforms (doubles round-trip via 17-digit decimal). Only mergeable state
+/// is stored: a numeric bundle's signature and centered projection are
+/// derived, and BundleBuilder::FinalizeNumeric rebuilds them on load.
 ///
 /// Free functions rather than members keep the sketch classes free of any
 /// serialization dependency.
@@ -27,9 +29,6 @@ StatusOr<KllSketch> KllFromJson(const JsonValue& json);
 JsonValue ReservoirToJson(const ReservoirSample& sample);
 StatusOr<ReservoirSample> ReservoirFromJson(const JsonValue& json);
 
-JsonValue SignatureToJson(const BitSignature& signature);
-StatusOr<BitSignature> SignatureFromJson(const JsonValue& json);
-
 JsonValue HyperplaneAccToJson(const HyperplaneAccumulator& acc);
 StatusOr<HyperplaneAccumulator> HyperplaneAccFromJson(const JsonValue& json);
 
@@ -39,12 +38,10 @@ StatusOr<ProjectionSketch> ProjectionFromJson(const JsonValue& json);
 JsonValue SpaceSavingToJson(const SpaceSavingSketch& sketch);
 StatusOr<SpaceSavingSketch> SpaceSavingFromJson(const JsonValue& json);
 
-JsonValue CountMinToJson(const CountMinSketch& sketch);
-StatusOr<CountMinSketch> CountMinFromJson(const JsonValue& json);
-
 JsonValue EntropyToJson(const EntropySketch& sketch);
 StatusOr<EntropySketch> EntropyFromJson(const JsonValue& json);
 
+/// The parsed bundle is not finalized: its derived members stay empty.
 JsonValue NumericSketchToJson(const NumericColumnSketch& sketch);
 StatusOr<NumericColumnSketch> NumericSketchFromJson(const JsonValue& json);
 

@@ -23,15 +23,6 @@ uint64_t SplitMix64(uint64_t x) {
 BitSignature::BitSignature(size_t num_bits)
     : num_bits_(num_bits), words_((num_bits + 63) / 64, 0) {}
 
-BitSignature BitSignature::FromWords(size_t num_bits,
-                                     std::vector<uint64_t> words) {
-  FORESIGHT_CHECK(words.size() == (num_bits + 63) / 64);
-  BitSignature signature;
-  signature.num_bits_ = num_bits;
-  signature.words_ = std::move(words);
-  return signature;
-}
-
 uint64_t BitSignature::HammingDistance(const BitSignature& a,
                                        const BitSignature& b) {
   FORESIGHT_CHECK(a.num_bits_ == b.num_bits_);

@@ -30,10 +30,6 @@ class BitSignature {
 
   const std::vector<uint64_t>& words() const { return words_; }
 
-  /// Reconstructs a signature from packed words (deserialization); `words`
-  /// must hold ceil(num_bits / 64) entries.
-  static BitSignature FromWords(size_t num_bits, std::vector<uint64_t> words);
-
   /// Hamming distance via per-word popcount: O(k / 64).
   static uint64_t HammingDistance(const BitSignature& a, const BitSignature& b);
 

@@ -260,14 +260,14 @@ TEST_F(ExplorerTest, FailingClassReportsItsLowestIndexError) {
       "candidate " + std::to_string(table_->NumericColumnIndices().front()) +
       " exploded");
   for (size_t workers : {size_t{1}, size_t{8}}) {
+    InsightClassRegistry registry = InsightClassRegistry::CreateDefault();
+    ASSERT_TRUE(registry.Register(std::make_unique<FailingClass>()).ok());
     EngineOptions options;
     options.build_profile = false;
     options.num_workers = workers;
+    options.registry = std::move(registry);
     auto engine = InsightEngine::Create(*table_, std::move(options));
     ASSERT_TRUE(engine.ok()) << engine.status();
-    ASSERT_TRUE(engine->mutable_registry()
-                    .Register(std::make_unique<FailingClass>())
-                    .ok());
     // Thread timing varies; the reported error must not.
     for (int repeat = 0; repeat < 5; ++repeat) {
       ExplorationSession session(*engine);

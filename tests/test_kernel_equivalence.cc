@@ -80,11 +80,17 @@ std::string ComparableProfileJson(const TableProfile& profile) {
   return json.Dump();
 }
 
+/// `parts` near-equal partitions of `n` rows, as partition_boundaries.
+std::vector<size_t> NearEqualBoundaries(size_t n, size_t parts) {
+  std::vector<size_t> boundaries;
+  for (size_t p = 0; p < parts; ++p) boundaries.push_back(n * (p + 1) / parts);
+  return boundaries;
+}
+
 /// The per-row oracle for numeric ingestion: AccumulateNumeric regenerates
 /// each row's random components and folds the rows in order, once per
-/// partition of the near-equal layout that num_partitions = `parts` selects;
-/// the partials merge in partition order and are finalized. Serialized per
-/// numeric column.
+/// partition of NearEqualBoundaries(n, parts); the partials merge in
+/// partition order and are finalized. Serialized per numeric column.
 std::vector<std::string> OracleNumericSketches(const DataTable& table,
                                                size_t parts) {
   const size_t n = table.num_rows();
@@ -120,7 +126,8 @@ TEST(KernelEquivalence, BlockedMatchesOracleAcrossBlockSizesAndPartitions) {
     const std::vector<std::string> expected =
         OracleNumericSketches(table, parts);
     PreprocessOptions serial_options;
-    serial_options.num_partitions = parts;
+    serial_options.partition_boundaries =
+        NearEqualBoundaries(table.num_rows(), parts);
     auto serial = Preprocessor::Profile(table, serial_options);
     ASSERT_TRUE(serial.ok()) << serial.status();
     EXPECT_EQ(expected, ProfileNumericSketches(*serial)) << "parts=" << parts;
@@ -128,7 +135,7 @@ TEST(KernelEquivalence, BlockedMatchesOracleAcrossBlockSizesAndPartitions) {
 
     for (size_t block_rows : {size_t{1}, size_t{7}, size_t{64}, kRows}) {
       PreprocessOptions options;
-      options.num_partitions = parts;
+      options.partition_boundaries = serial_options.partition_boundaries;
       options.panel_block_rows = block_rows;
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
         auto blocked = Preprocessor::Profile(table, options, p);

@@ -42,8 +42,6 @@ SketchConfig TestConfig() {
   config.kll_k = 200;
   config.reservoir_capacity = 128;
   config.spacesaving_capacity = 16;
-  config.countmin_width = 64;
-  config.countmin_depth = 3;
   config.entropy_k = 32;
   return config;
 }
@@ -153,14 +151,11 @@ TEST(MergeEquivalence, CategoricalSplitMergeMatchesOnePass) {
         SketchCategoricalRange(builder, column, 0, split);
     merged.Merge(SketchCategoricalRange(builder, column, split, kRows));
 
-    // Integer-counter sketches are bitwise one-pass under any split:
-    // Count-Min cells and SpaceSaving counters (all 9 distinct items fit in
-    // capacity, so the union is an exact frequency table) add exactly.
-    EXPECT_EQ(CountMinToJson(merged.frequencies).Dump(),
-              CountMinToJson(one_pass.frequencies).Dump());
+    // SpaceSaving counters are bitwise one-pass under any split: all 9
+    // distinct items fit in capacity, so the union is an exact frequency
+    // table and the counts add exactly.
     EXPECT_EQ(SpaceSavingToJson(merged.heavy_hitters).Dump(),
               SpaceSavingToJson(one_pass.heavy_hitters).Dump());
-    EXPECT_EQ(merged.observed_count, one_pass.observed_count);
 
     // Entropy registers are fp sums (register-wise addition reassociates).
     EXPECT_EQ(merged.entropy.total_count(), one_pass.entropy.total_count());

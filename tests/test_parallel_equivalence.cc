@@ -111,7 +111,8 @@ TEST_F(ParallelEquivalenceTest, ProfileJsonIsIdentical) {
 TEST_F(ParallelEquivalenceTest, PartitionedProfileJsonIsIdentical) {
   PreprocessOptions options;
   options.sketch.hyperplane_bits = 256;
-  options.num_partitions = 3;
+  const size_t n = table_->num_rows();
+  options.partition_boundaries = {n / 3, 2 * n / 3, n};
   auto serial = Preprocessor::Profile(*table_, options);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ThreadPool pool(8);
@@ -220,29 +221,27 @@ TEST_F(ParallelEquivalenceTest, ParallelErrorMatchesSerialFirstError) {
   // Regression for the old per-query-thread path, which reported whichever
   // worker LOST the race (errors.front() by completion order). The reported
   // error must be the lowest candidate index, i.e. what serial returns.
-  EngineOptions options;
-  options.build_profile = false;
-  options.num_workers = 1;
-  auto serial_engine = InsightEngine::Create(*table_, std::move(options));
+  auto options_with_failing_class = [](size_t workers) {
+    InsightClassRegistry registry = InsightClassRegistry::CreateDefault();
+    EXPECT_TRUE(registry.Register(std::make_unique<FailingClass>()).ok());
+    EngineOptions options;
+    options.build_profile = false;
+    options.num_workers = workers;
+    options.registry = std::move(registry);
+    return options;
+  };
+  auto serial_engine =
+      InsightEngine::Create(*table_, options_with_failing_class(1));
   ASSERT_TRUE(serial_engine.ok());
-  ASSERT_TRUE(serial_engine->mutable_registry()
-                  .Register(std::make_unique<FailingClass>())
-                  .ok());
   InsightQuery query;
   query.class_name = "failing_class";
   query.mode = ExecutionMode::kExact;
   Status expected = serial_engine->Execute(query).status();
   ASSERT_FALSE(expected.ok());
 
-  EngineOptions parallel_options;
-  parallel_options.build_profile = false;
-  parallel_options.num_workers = 8;
   auto parallel_engine =
-      InsightEngine::Create(*table_, std::move(parallel_options));
+      InsightEngine::Create(*table_, options_with_failing_class(8));
   ASSERT_TRUE(parallel_engine.ok());
-  ASSERT_TRUE(parallel_engine->mutable_registry()
-                  .Register(std::make_unique<FailingClass>())
-                  .ok());
   // Thread timing varies; the answer must not. Repeat to catch races.
   for (int repeat = 0; repeat < 25; ++repeat) {
     Status status = parallel_engine->Execute(query).status();

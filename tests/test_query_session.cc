@@ -195,21 +195,6 @@ TEST_F(QuerySessionTest, EvictionAccountingUnderTinyBudget) {
   EXPECT_TRUE(recent->cache_hit);
 }
 
-TEST_F(QuerySessionTest, RegistryMutationInvalidates) {
-  QuerySession session(*engine_);
-  InsightQuery query = LinearQuery();
-  ASSERT_TRUE(session.Execute(query).ok());
-
-  // Conservative hook: any mutable_registry() access bumps the epoch.
-  engine_->mutable_registry();
-
-  auto result = session.Execute(query);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->cache_hit);
-  QueryCacheStats stats = session.cache_stats();
-  EXPECT_GE(stats.invalidations, 1u);
-}
-
 TEST_F(QuerySessionTest, TagChangeInvalidates) {
   QuerySession session(*engine_);
   InsightQuery query = LinearQuery();

@@ -9,6 +9,7 @@
 #include "sketch/serialize.h"
 
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "data/generators.h"
 #include "data/table.h"
 #include "sketch/bundle.h"
+#include "snapshot_fakes.h"
 #include "util/json.h"
 #include "util/json_binary.h"
 #include "util/string_util.h"
@@ -51,8 +53,6 @@ class SerializeHardeningTest : public testing::Test {
     config.kll_k = 32;
     config.reservoir_capacity = 16;
     config.spacesaving_capacity = 8;
-    config.countmin_width = 32;
-    config.countmin_depth = 3;
     config.entropy_k = 16;
     config.projection_dims = 8;
     config.hyperplane_bits = 64;
@@ -106,10 +106,6 @@ TEST_F(SerializeHardeningTest, RejectsKllLevelCountAboveShiftWidth) {
 TEST_F(SerializeHardeningTest, RejectsAllocationBombGeometry) {
   // Each ctor allocates from its geometry fields, so oversized dimensions
   // must be rejected before any sketch object is constructed.
-  JsonValue countmin = CountMinToJson(categorical_.frequencies);
-  countmin.Set("width", 1e18);
-  EXPECT_FALSE(CountMinFromJson(countmin).ok());
-
   JsonValue entropy = EntropyToJson(categorical_.entropy);
   entropy.Set("k", 1e18);
   EXPECT_FALSE(EntropyFromJson(entropy).ok());
@@ -117,47 +113,6 @@ TEST_F(SerializeHardeningTest, RejectsAllocationBombGeometry) {
   JsonValue reservoir = ReservoirToJson(numeric_.sample);
   reservoir.Set("capacity", 1e18);
   EXPECT_FALSE(ReservoirFromJson(reservoir).ok());
-
-  JsonValue signature = SignatureToJson(numeric_.signature);
-  signature.Set("bits", 1e18);
-  EXPECT_FALSE(SignatureFromJson(signature).ok());
-}
-
-TEST_F(SerializeHardeningTest, RejectsCountMinGeometryCellMismatch) {
-  // width * depth could overflow size_t and alias a small cells array; and
-  // a plain mismatch must never over-read at query time.
-  JsonValue doc = CountMinToJson(categorical_.frequencies);
-  doc.Set("width", 67108864);  // 2^26 each; product wraps past the bound.
-  doc.Set("depth", 67108864);
-  EXPECT_FALSE(CountMinFromJson(doc).ok());
-
-  JsonValue mismatch = CountMinToJson(categorical_.frequencies);
-  mismatch.Set("depth", 4);  // Real payload has depth 3: cells too short.
-  EXPECT_FALSE(CountMinFromJson(mismatch).ok());
-}
-
-TEST_F(SerializeHardeningTest, RejectsSignatureWordCountMismatch) {
-  JsonValue doc = SignatureToJson(numeric_.signature);
-  doc.Set("bits", 128);  // Payload carries one 64-bit word, not two.
-  auto result = SignatureFromJson(doc);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-}
-
-TEST_F(SerializeHardeningTest, RejectsMalformedSignatureHexWords) {
-  JsonValue doc = SignatureToJson(numeric_.signature);
-  JsonValue words = JsonValue::Array();
-  words.Append("not-hex");
-  doc.Set("words", std::move(words));
-  doc.Set("bits", 64);
-  EXPECT_FALSE(SignatureFromJson(doc).ok());
-
-  JsonValue too_long = SignatureToJson(numeric_.signature);
-  JsonValue long_words = JsonValue::Array();
-  long_words.Append("0123456789abcdef0");  // 17 hex digits > one word.
-  too_long.Set("words", std::move(long_words));
-  too_long.Set("bits", 64);
-  EXPECT_FALSE(SignatureFromJson(too_long).ok());
 }
 
 TEST_F(SerializeHardeningTest, RejectsReservoirOverfill) {
@@ -278,7 +233,6 @@ TEST_F(SerializeHardeningTest, NonObjectDocumentsError) {
     EXPECT_FALSE(CategoricalSketchFromJson(doc).ok()) << text;
     EXPECT_FALSE(SketchConfigFromJson(doc).ok()) << text;
     EXPECT_FALSE(KllFromJson(doc).ok()) << text;
-    EXPECT_FALSE(CountMinFromJson(doc).ok()) << text;
   }
 }
 
@@ -291,10 +245,47 @@ class SnapshotHardeningTest : public testing::Test {
     auto profile = Preprocessor::Profile(table_);
     EXPECT_TRUE(profile.ok());
     bytes_ = EncodeProfileSnapshot(*profile);
+    document_ = profile->ToJson();
+    // The fixture's own document loads both ways, so a variant that
+    // ExpectRefused turns away fails for what it changed.
+    EXPECT_TRUE(Preprocessor::LoadProfile(table_, document_).ok());
+    EXPECT_TRUE(
+        LoadProfileSnapshot(table_, SnapshotWithDocument(bytes_, document_))
+            .ok());
+  }
+
+  /// The fixture's profile document with column `column` sketched again
+  /// under `config`: well formed, but of another geometry than the rest.
+  JsonValue WithColumnSketchedUnder(size_t column,
+                                    const SketchConfig& config) const {
+    BundleBuilder builder(config, table_.num_rows());
+    const Column& data = table_.column(column);
+    JsonValue sketch =
+        data.type() == ColumnType::kNumeric
+            ? NumericSketchToJson(builder.SketchNumeric(data.AsNumeric()))
+            : CategoricalSketchToJson(
+                  builder.SketchCategorical(data.AsCategorical()));
+    const char* kind =
+        data.type() == ColumnType::kNumeric ? "numeric" : "categorical";
+    JsonValue document = document_;
+    JsonValue sketches = *document.Get(kind);
+    sketches.Set(table_.column_name(column), std::move(sketch));
+    document.Set(kind, std::move(sketches));
+    return document;
+  }
+
+  /// Both loaders must refuse `document`: as a JSON profile and inside a
+  /// checksum-correct snapshot.
+  void ExpectRefused(const JsonValue& document) const {
+    EXPECT_FALSE(Preprocessor::LoadProfile(table_, document).ok());
+    EXPECT_FALSE(
+        LoadProfileSnapshot(table_, SnapshotWithDocument(bytes_, document))
+            .ok());
   }
 
   DataTable table_;
   std::string bytes_;
+  JsonValue document_;
 };
 
 TEST_F(SnapshotHardeningTest, BitFlippedSnapshotsNeverCrash) {
@@ -332,32 +323,7 @@ TEST_F(SnapshotHardeningTest, ChecksumCorrectGarbageDocumentsAreRejected) {
   // A snapshot whose prelude and checksums are self-consistent but whose
   // header/payload documents are garbage must be rejected on structure —
   // the layer BELOW the checksums is also hostile-input-hardened.
-  auto fake_snapshot = [](const std::string& header,
-                          const std::string& payload) {
-    std::string fake;
-    fake += kSnapshotMagic;
-    auto append_u32 = [&fake](uint32_t v) {
-      for (int i = 0; i < 4; ++i) {
-        fake.push_back(static_cast<char>(v >> (8 * i)));
-      }
-    };
-    auto append_u64 = [&fake](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        fake.push_back(static_cast<char>(v >> (8 * i)));
-      }
-    };
-    append_u32(kSnapshotFormatVersion);
-    append_u32(0);
-    append_u64(header.size());
-    append_u64(payload.size());
-    append_u64(Crc64(header));
-    append_u64(Crc64(payload));
-    fake += header;
-    fake += payload;
-    return fake;
-  };
-  const std::string fake =
-      fake_snapshot("not an FJB1 document", "nor is this");
+  const std::string fake = FakeSnapshot("not an FJB1 document", "nor is this");
   EXPECT_FALSE(InspectProfileSnapshot(fake).ok());
   EXPECT_FALSE(LoadProfileSnapshot(table_, fake).ok());
 
@@ -368,10 +334,60 @@ TEST_F(SnapshotHardeningTest, ChecksumCorrectGarbageDocumentsAreRejected) {
   header.Set("num_rows", -1.0);
   header.Set("num_columns", 0);
   header.Set("columns", JsonValue::Array());
-  const std::string negative_rows = fake_snapshot(
+  const std::string negative_rows = FakeSnapshot(
       JsonBinaryEncode(header), JsonBinaryEncode(JsonValue::Object()));
   EXPECT_FALSE(InspectProfileSnapshot(negative_rows).ok());
   EXPECT_FALSE(LoadProfileSnapshot(table_, negative_rows).ok());
+}
+
+TEST_F(SnapshotHardeningTest, RefusesColumnsOfAnotherGeometry) {
+  // Well-formed documents whose sketches disagree on geometry. Each used to
+  // load, then abort the first sketch query that paired the odd column or
+  // the first append that merged into it; a zero projection width aborted
+  // the load itself.
+  auto with_config = [&](const char* key, double value) {
+    JsonValue document = document_;
+    JsonValue config = *document.Get("config");
+    config.Set(key, value);
+    document.Set("config", std::move(config));
+    return document;
+  };
+  SketchConfig wide_hyperplanes;  // The fixture's 60 rows resolve to 64 bits.
+  wide_hyperplanes.hyperplane_bits = 128;
+  SketchConfig narrow_projection;
+  narrow_projection.projection_dims = 8;
+  SketchConfig small_entropy;
+  small_entropy.entropy_k = 16;
+  const size_t categorical = table_.CategoricalColumnIndices()[0];
+  const std::pair<const char*, JsonValue> cases[] = {
+      {"numeric column at 128 bits",
+       WithColumnSketchedUnder(0, wide_hyperplanes)},
+      {"numeric column at 8 projection dims",
+       WithColumnSketchedUnder(1, narrow_projection)},
+      {"categorical column at entropy k 16",
+       WithColumnSketchedUnder(categorical, small_entropy)},
+      // Every column agrees on 64 bits where the config asks for 128: an
+      // append would sketch a 128-bit delta and merge it into them.
+      {"config at 128 bits", with_config("hyperplane_bits", 128)},
+      {"config at 0 projection dims", with_config("projection_dims", 0)},
+  };
+  for (const auto& [label, document] : cases) {
+    SCOPED_TRACE(label);
+    ExpectRefused(document);
+  }
+}
+
+TEST_F(SnapshotHardeningTest, RefusesOtherProfileVersions) {
+  // Version 1 documents stored Count-Min sketches and signatures; a
+  // snapshot holding one is stale and falls back to a rebuild.
+  for (double version : {1.0, 3.0}) {
+    JsonValue document = document_;
+    document.Set("version", version);
+    ExpectRefused(document);
+  }
+  JsonValue unversioned = document_;
+  unversioned.Remove("version");
+  ExpectRefused(unversioned);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for SpaceSaving, Count-Min, entropy sketch, reservoir sample, and
-// random projection sketch.
+// Tests for SpaceSaving, entropy sketch, reservoir sample, and random
+// projection sketch.
 
 #include <cmath>
 #include <unordered_map>
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
-#include "sketch/countmin.h"
 #include "sketch/entropy.h"
 #include "sketch/random_projection.h"
 #include "sketch/reservoir.h"
@@ -104,41 +103,6 @@ TEST(SpaceSavingTest, WeightedUpdates) {
   sketch.Update("y", 5);
   EXPECT_EQ(sketch.EstimateCount("x"), 100u);
   EXPECT_EQ(sketch.total_count(), 105u);
-}
-
-TEST(CountMinTest, NeverUnderestimates) {
-  auto stream = ZipfStream(50000, 3000, 1.1, 11);
-  FrequencyTable exact(stream);
-  CountMinSketch sketch(1024, 4);
-  for (const auto& item : stream) sketch.Update(item);
-  for (const auto& e : exact.entries()) {
-    EXPECT_GE(sketch.EstimateCount(e.value), e.count);
-  }
-}
-
-TEST(CountMinTest, ErrorWithinBoundForHeavyHitters) {
-  auto stream = ZipfStream(50000, 3000, 1.1, 12);
-  FrequencyTable exact(stream);
-  CountMinSketch sketch(2048, 5);
-  for (const auto& item : stream) sketch.Update(item);
-  double bound = sketch.ErrorBound();
-  size_t checked = 0;
-  for (const auto& e : exact.entries()) {
-    if (checked++ > 100) break;
-    EXPECT_LE(static_cast<double>(sketch.EstimateCount(e.value)),
-              static_cast<double>(e.count) + 3.0 * bound);
-  }
-}
-
-TEST(CountMinTest, MergeEqualsUnion) {
-  CountMinSketch a(512, 4, 3), b(512, 4, 3);
-  a.Update("x", 10);
-  b.Update("x", 5);
-  b.Update("y", 7);
-  a.Merge(b);
-  EXPECT_EQ(a.EstimateCount("x"), 15u);
-  EXPECT_GE(a.EstimateCount("y"), 7u);
-  EXPECT_EQ(a.total_count(), 22u);
 }
 
 TEST(EntropySketchTest, UniformDistribution) {

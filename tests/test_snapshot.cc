@@ -16,6 +16,7 @@
 #include "data/table.h"
 #include "serve/wire.h"
 #include "util/json.h"
+#include "util/json_binary.h"
 #include "util/thread_pool.h"
 
 namespace foresight {
@@ -189,6 +190,21 @@ TEST_F(SnapshotTest, MissingFileIsAnError) {
   EXPECT_FALSE(InspectProfileSnapshotFile("/nonexistent/x.fsnap").ok());
   EXPECT_FALSE(
       LoadProfileSnapshotFile(table_, "/nonexistent/x.fsnap").ok());
+}
+
+TEST(SnapshotSeedTest, FuzzSeedLoadsAgainstTheHarnessTable) {
+  // fuzz/fuzz_snapshot.cc loads every input against this table, and its
+  // seed snapshot must load too, or the fuzzer never reaches the profile
+  // validators. profile_doc.fjb1 is the same snapshot's payload.
+  const DataTable table = MakeBenchmarkTable(48, 3, 1, 7);
+  const std::string corpus = FORESIGHT_FUZZ_CORPUS_DIR "/snapshot/";
+  auto loaded = LoadProfileSnapshotFile(table, corpus + "table_48x4.fsnap");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto payload = ReadFileBytes(corpus + "profile_doc.fjb1");
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  auto document = JsonBinaryDecode(*payload);
+  ASSERT_TRUE(document.ok()) << document.status().ToString();
+  EXPECT_EQ(document->Dump(), loaded->ToJson().Dump());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 //
 // Usage:
 //   foresight_snapshot build   --csv=PATH --out=PATH [--workers=N]
-//                              [--partitions=N]
 //   foresight_snapshot build   --synthetic-rows=N [--synthetic-numeric=N]
 //                              [--synthetic-categorical=N] [--seed=N]
 //                              --csv-out=PATH --out=PATH [--workers=N]
@@ -14,7 +13,7 @@
 //            --csv-out so serving can load the same bytes) and write the
 //            snapshot atomically to --out.
 //   foresight_snapshot refresh --csv=PATH --in=PATH [--out=PATH]
-//                              [--workers=N] [--partitions=N] [--force]
+//                              [--workers=N] [--force]
 //
 //   inspect  Print the prelude + header summary after validating both
 //            checksums; exits non-zero on any corruption.
@@ -52,8 +51,7 @@ namespace {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: foresight_snapshot build   --csv=PATH --out=PATH [--workers=N] "
-      "[--partitions=N]\n"
+      "usage: foresight_snapshot build   --csv=PATH --out=PATH [--workers=N]\n"
       "       foresight_snapshot build   --synthetic-rows=N "
       "[--synthetic-numeric=N]\n"
       "                                  [--synthetic-categorical=N] "
@@ -64,8 +62,7 @@ int Usage() {
       "       foresight_snapshot verify  --in=PATH --csv=PATH [--rebuild] "
       "[--workers=N]\n"
       "       foresight_snapshot refresh --csv=PATH --in=PATH [--out=PATH]\n"
-      "                                  [--workers=N] [--partitions=N] "
-      "[--force]\n");
+      "                                  [--workers=N] [--force]\n");
   return 2;
 }
 
@@ -80,7 +77,6 @@ struct Args {
   size_t synthetic_categorical = 8;
   uint64_t seed = 1;
   size_t workers = 0;
-  size_t partitions = 1;
   bool rebuild = false;
   bool force = false;
 };
@@ -123,11 +119,9 @@ int RunBuild(const Args& args) {
   if (!table.ok()) return Fail("reading CSV", table.status());
 
   ThreadPool pool(args.workers);
-  PreprocessOptions options;
-  options.num_partitions = args.partitions;
   // determinism-ok: build timing is reporting-only telemetry.
   WallTimer timer;
-  auto profile = Preprocessor::Profile(*table, options, &pool);
+  auto profile = Preprocessor::Profile(*table, {}, &pool);
   if (!profile.ok()) return Fail("preprocessing", profile.status());
   const double profile_seconds = timer.ElapsedSeconds();
 
@@ -234,11 +228,9 @@ int RunRefresh(const Args& args) {
 
   const std::string out =
       args.out_path.empty() ? args.in_path : args.out_path;
-  PreprocessOptions options;
-  options.num_partitions = args.partitions;
   // determinism-ok: refresh timing is reporting-only telemetry.
   WallTimer timer;
-  auto profile = Preprocessor::Profile(*table, options, &pool);
+  auto profile = Preprocessor::Profile(*table, {}, &pool);
   if (!profile.ok()) return Fail("preprocessing", profile.status());
   Status written = WriteProfileSnapshot(*profile, out);
   if (!written.ok()) return Fail("writing snapshot", written);
@@ -270,9 +262,7 @@ int Main(int argc, char** argv) {
                              &args.synthetic_numeric, &bad_value) ||
                ParseSizeFlag(arg, "--synthetic-categorical=",
                              &args.synthetic_categorical, &bad_value) ||
-               ParseSizeFlag(arg, "--workers=", &args.workers, &bad_value) ||
-               ParseSizeFlag(arg, "--partitions=", &args.partitions,
-                             &bad_value)) {
+               ParseSizeFlag(arg, "--workers=", &args.workers, &bad_value)) {
     } else if (ParseSizeFlag(arg, "--seed=", &seed_value, &bad_value)) {
       args.seed = seed_value;
     } else if (arg == "--rebuild") {
@@ -283,7 +273,7 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (bad_value || args.partitions == 0) return Usage();
+  if (bad_value) return Usage();
 
   if (args.command == "build") return RunBuild(args);
   if (args.command == "inspect") return RunInspect(args);
