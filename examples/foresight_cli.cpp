@@ -27,6 +27,7 @@
 #include "core/explorer.h"
 #include "data/csv.h"
 #include "data/generators.h"
+#include "util/fd.h"
 #include "viz/ascii.h"
 #include "viz/charts.h"
 
@@ -104,14 +105,6 @@ Status WriteFile(const std::string& path, const std::string& content) {
   if (!out) return Status::IOError("cannot open " + path);
   out << content;
   return out ? Status::OK() : Status::IOError("failed writing " + path);
-}
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 }  // namespace
@@ -273,7 +266,7 @@ int main() {
     } else if (command == "restore") {
       std::string path;
       tokens >> path;
-      auto text = ReadFile(path);
+      auto text = ReadFileBytes(path);
       if (!text.ok()) {
         std::printf("%s\n", text.status().ToString().c_str());
         continue;
@@ -302,7 +295,7 @@ int main() {
     } else if (command == "loadprofile") {
       std::string path;
       tokens >> path;
-      auto text = ReadFile(path);
+      auto text = ReadFileBytes(path);
       if (!text.ok()) {
         std::printf("%s\n", text.status().ToString().c_str());
         continue;

@@ -49,11 +49,6 @@ void Exercise(const JsonValue& doc) {
     }
     CheckFixedPoint(kll, &KllToJson, &KllFromJson);
   }
-  {
-    StatusOr<ReservoirSample> sample = ReservoirFromJson(doc);
-    if (sample.ok()) (void)sample->values();
-    CheckFixedPoint(sample, &ReservoirToJson, &ReservoirFromJson);
-  }
   CheckFixedPoint(HyperplaneAccFromJson(doc), &HyperplaneAccToJson,
                   &HyperplaneAccFromJson);
   {

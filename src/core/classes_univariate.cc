@@ -167,7 +167,8 @@ class OutliersClass final : public InsightClass {
   }
 
   /// Sketch path: Tukey fences from the KLL quantile sketch, applied to the
-  /// reservoir sample, with distances standardized by the exact moments.
+  /// shared row sample, with distances standardized by the exact moments.
+  /// A null slot (NaN) fails both fence comparisons, so it never counts.
   StatusOr<double> EvaluateSketch(const TableProfile& profile,
                                   const AttributeTuple& tuple,
                                   const std::string& metric) const override {
@@ -186,7 +187,7 @@ class OutliersClass final : public InsightClass {
     double mean = sketch.moments.mean();
     double total = 0.0;
     size_t count = 0;
-    for (double v : sketch.sample.values()) {
+    for (double v : profile.sampled_numeric(tuple.indices[0])) {
       if (v < lo || v > hi) {
         total += std::abs(v - mean) / sigma;
         ++count;
@@ -212,7 +213,7 @@ class OutliersClass final : public InsightClass {
 };
 
 /// 8. Multimodality: KDE-based modality score (default) or Sarle's
-/// bimodality coefficient. Sketch path evaluates over the reservoir sample.
+/// bimodality coefficient. Sketch path evaluates over the shared row sample.
 class MultimodalityClass final : public InsightClass {
  public:
   std::string name() const override { return "multimodality"; }
@@ -253,7 +254,7 @@ class MultimodalityClass final : public InsightClass {
       if (!(kurt > 0.0)) return 0.0;
       return (m.skewness() * m.skewness() + 1.0) / kurt;
     }
-    return MultimodalityScore(sketch.sample.values());
+    return MultimodalityScore(SampledValues(profile, tuple.indices[0]));
   }
 
   bool SupportsSketch() const override { return true; }

@@ -54,8 +54,7 @@ StatusOr<std::shared_ptr<ResidentDataset>> ResidentDataset::Load(
         InsightEngine::Create(dataset->table_, std::move(engine_options)));
     dataset->engine_.emplace(std::move(engine));
   }
-  dataset->session_.emplace(*dataset->engine_,
-                            QuerySessionOptions{options.cache});
+  dataset->session_.emplace(*dataset->engine_);
   dataset->resident_bytes_.store(
       dataset->table_.EstimateMemoryBytes() +
       dataset->engine_->profile().EstimateMemoryBytes());

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_cache.h"
 #include "core/session.h"
 #include "data/table.h"
 #include "util/metrics.h"
@@ -49,8 +48,6 @@ struct DatasetRegistryOptions {
   /// Per-dataset engine metrics. Off by default for the same reason; the
   /// registry's own metrics (below) stay on regardless.
   bool collect_metrics = false;
-  /// Result-cache sizing for each dataset's QuerySession.
-  QueryCacheOptions cache;
   /// Registry-level metrics (registry.* counters/gauges/histogram) land
   /// here when set — typically the serving engine's registry, so one
   /// /metrics scrape covers the whole stack.

@@ -69,7 +69,6 @@ class ExplorationSession {
   /// Removes an insight from the focus set by key; no-op when absent.
   void Unfocus(const std::string& insight_key);
 
-  void ClearFocus() { focus_.clear(); }
   const std::vector<Insight>& focused() const { return focus_; }
 
   /// Second-stage exploration: carousels re-ranked toward the neighborhood of

@@ -55,7 +55,7 @@ StatusOr<RowRanges> ResolveRanges(size_t n, const PreprocessOptions& options) {
 
 /// The profile document version ToJson writes and LoadProfile accepts. Bump
 /// it whenever the stored state changes, so older snapshots are rebuilt.
-constexpr int kProfileVersion = 2;
+constexpr int kProfileVersion = 3;
 
 Status GeometryError(const std::string& column) {
   return Status::InvalidArgument(
@@ -329,7 +329,6 @@ size_t TableProfile::EstimateMemoryBytes() const {
     bytes += sketch.hyperplane_acc.dot.size() * 2 * sizeof(double);
     bytes += sketch.projection.components().size() * 2 * sizeof(double);
     bytes += sketch.quantiles.RetainedItems() * sizeof(double);
-    bytes += sketch.sample.values().size() * sizeof(double);
     bytes += sizeof(RunningMoments);
   }
   // determinism-ok: integer sums are order-independent.

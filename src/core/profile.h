@@ -19,11 +19,11 @@ class ThreadPool;
 /// Everything the approximate query path needs, produced by one preprocessing
 /// pass over the table (§3: "the dataset is preprocessed to compute sketches,
 /// samples, and indexes that will support fast approximate insight querying"):
-///   - a sketch bundle per column (moments, KLL, reservoir, hyperplane
-///     signature, JL projection / SpaceSaving, entropy sketch);
-///   - a shared uniform ROW sample (row-aligned across columns), used by
-///     metrics that need joint raw points (Spearman, mutual information,
-///     segmentation);
+///   - a sketch bundle per column (moments, KLL, hyperplane signature, JL
+///     projection / SpaceSaving, entropy sketch);
+///   - a shared uniform ROW sample (row-aligned across columns), the one
+///     source of raw points: outliers and multimodality read one column of
+///     it, Spearman, mutual information and segmentation read joint rows;
 ///   - materialized sampled column values as the "index" into that sample.
 ///
 /// The profile references (does not own) the table it was built from.
@@ -76,7 +76,7 @@ class TableProfile {
   size_t EstimateMemoryBytes() const;
 
   /// Serializes the full profile (config, row sample, every column's sketch
-  /// bundle) to a version-2 JSON document. Preprocessing is the expensive
+  /// bundle) to a version-3 JSON document. Preprocessing is the expensive
   /// step; a deployment persists the profile once and serves many sessions
   /// from it. Derived state is not stored: sampled column values
   /// re-materialize from the stored row ids against the table at load time,
@@ -164,7 +164,7 @@ class Preprocessor {
 
   /// Restores a profile persisted by TableProfile::ToJson against `table`
   /// (which must be the table it was built from: column names/types and row
-  /// count are validated). The table must outlive the profile. Only version-2
+  /// count are validated). The table must outlive the profile. Only version-3
   /// documents load, and every column's sketches must match the geometry the
   /// document's own config gives (BundleBuilder::MatchesGeometry), so a
   /// hostile document is refused here rather than aborting a later query or

@@ -16,8 +16,8 @@ constexpr size_t kCacheLookupIdx =
 }  // namespace
 
 QuerySession::QuerySession(const InsightEngine& engine,
-                           QuerySessionOptions options)
-    : engine_(&engine), cache_(options.cache) {
+                           QueryCacheOptions cache)
+    : engine_(&engine), cache_(cache) {
   metrics_ = engine.metrics();
   if (metrics_ == nullptr) return;
   // The cache already maintains exact per-shard counters under its shard

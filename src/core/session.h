@@ -11,11 +11,6 @@
 
 namespace foresight {
 
-/// Knobs for a QuerySession.
-struct QuerySessionOptions {
-  QueryCacheOptions cache;
-};
-
 /// The serving layer in front of InsightEngine (the paper frames insight
 /// queries as an interactive, high-traffic workload: the demo repeatedly
 /// issues top-k queries over the same profiled table). A QuerySession
@@ -36,9 +31,9 @@ class QuerySession {
   /// on the engine's registry (query_cache.* counters and occupancy gauges)
   /// that pull from this session's cache at export time; they are
   /// deregistered in the destructor. The session is therefore pinned in
-  /// memory (no copy/move).
+  /// memory (no copy/move). `cache` sizes the result cache.
   explicit QuerySession(const InsightEngine& engine,
-                        QuerySessionOptions options = {});
+                        QueryCacheOptions cache = {});
   ~QuerySession();
 
   QuerySession(const QuerySession&) = delete;

@@ -3,10 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <utility>
 
+#include "util/fd.h"
 #include "util/json.h"
 #include "util/json_binary.h"
 #include "util/string_util.h"
@@ -245,15 +245,6 @@ StatusOr<TableProfile> LoadProfileSnapshot(const DataTable& table,
   // Per-column name/type validation and all sketch-geometry hardening happen
   // inside LoadProfile via the shared serializers.
   return Preprocessor::LoadProfile(table, document, pool);
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("error reading '" + path + "'");
-  return bytes;
 }
 
 StatusOr<SnapshotInfo> InspectProfileSnapshotFile(const std::string& path,

@@ -47,7 +47,7 @@ class ThreadPool;
 /// both checksums are verified before any payload decoding.
 ///
 /// Versioning: the reader accepts only `kSnapshotFormatVersion`; the
-/// embedded profile document additionally carries its own version (2), and
+/// embedded profile document additionally carries its own version (3), and
 /// `Preprocessor::LoadProfile` refuses any other, as it refuses columns whose
 /// sketch geometry disagrees with the document's config. Snapshots are a
 /// cache, never the source of truth — on any mismatch callers fall back to
@@ -99,9 +99,6 @@ StatusOr<SnapshotInfo> InspectProfileSnapshotFile(const std::string& path,
 StatusOr<TableProfile> LoadProfileSnapshotFile(const DataTable& table,
                                                const std::string& path,
                                                ThreadPool* pool = nullptr);
-
-/// Reads an entire file into memory (shared by snapshot loading and tools).
-StatusOr<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace foresight
 

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <set>
-#include <sstream>
 
+#include "util/fd.h"
 #include "util/string_util.h"
 
 namespace foresight {
@@ -195,13 +195,8 @@ StatusOr<DataTable> CsvReader::ReadString(std::string_view text,
 
 StatusOr<DataTable> CsvReader::ReadFile(const std::string& path,
                                         const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReadString(buffer.str(), options);
+  FORESIGHT_ASSIGN_OR_RETURN(std::string text, ReadFileBytes(path));
+  return ReadString(text, options);
 }
 
 namespace {

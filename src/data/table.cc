@@ -125,20 +125,6 @@ DataTable DataTable::Clone() const {
   return copy;
 }
 
-StatusOr<DataTable> DataTable::SelectColumns(
-    const std::vector<size_t>& indices) const {
-  DataTable result;
-  for (size_t index : indices) {
-    if (index >= columns_.size()) {
-      return Status::OutOfRange("column index " + std::to_string(index) +
-                                " out of range");
-    }
-    FORESIGHT_RETURN_IF_ERROR(
-        result.AddColumn(schema_.column(index).name, columns_[index]->Clone()));
-  }
-  return result;
-}
-
 size_t DataTable::EstimateMemoryBytes() const {
   size_t bytes = 0;
   for (const auto& column : columns_) {

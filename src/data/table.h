@@ -86,9 +86,6 @@ class DataTable {
   /// Deep copy.
   DataTable Clone() const;
 
-  /// New table with only the selected columns (by index, in given order).
-  StatusOr<DataTable> SelectColumns(const std::vector<size_t>& indices) const;
-
   /// Rough resident footprint of the column data (value buffers, validity
   /// masks, categorical dictionaries). Used by the dataset registry's byte
   /// budget alongside TableProfile::EstimateMemoryBytes.

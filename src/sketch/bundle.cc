@@ -23,20 +23,15 @@ void NumericColumnSketch::Merge(const NumericColumnSketch& other) {
   // member-wise path below would flow the first partition through element-wise
   // FP adds against zeros — and `0.0 + -0.0 == +0.0` silently drops the sign
   // of negative zeros accumulated from zero-valued rows. Adoption also
-  // carries the KLL/reservoir state (including serialized RNG state) across
-  // unchanged.
-  if (other.moments.count() == 0 && other.quantiles.count() == 0 &&
-      other.sample.seen() == 0) {
-    return;
-  }
-  if (moments.count() == 0 && quantiles.count() == 0 && sample.seen() == 0) {
+  // carries the KLL state (including serialized RNG state) across unchanged.
+  if (other.moments.count() == 0 && other.quantiles.count() == 0) return;
+  if (moments.count() == 0 && quantiles.count() == 0) {
     *this = other;
     centered_projection = ProjectionSketch();  // Derived cache; keep stale.
     return;
   }
   moments.Merge(other.moments);
   quantiles.Merge(other.quantiles);
-  sample.Merge(other.sample);
   hyperplane_acc.Merge(other.hyperplane_acc);
   projection.Merge(other.projection);
   projection_ones.Merge(other.projection_ones);
@@ -79,8 +74,6 @@ BundleBuilder::BundleBuilder(const SketchConfig& config, size_t n_rows)
 NumericColumnSketch BundleBuilder::MakeNumericSketch() const {
   NumericColumnSketch sketch;
   sketch.quantiles = KllSketch(config_.kll_k, config_.seed ^ 0x1111);
-  sketch.sample = ReservoirSample(config_.reservoir_capacity,
-                                  config_.seed ^ 0x2222);
   sketch.hyperplane_acc.dot.assign(hyperplane_bits_, 0.0);
   sketch.hyperplane_acc.ones_dot.assign(hyperplane_bits_, 0.0);
   sketch.projection = ProjectionSketch(config_.projection_dims);
@@ -96,19 +89,17 @@ CategoricalColumnSketch BundleBuilder::MakeCategoricalSketch() const {
 }
 
 bool BundleBuilder::MatchesGeometry(const NumericColumnSketch& sketch) const {
-  // Widths compare without building anything, and the factory never sizes a
-  // reservoir below the config's capacity. Past these tests the empty sketch
-  // allocates no more than the checked one holds, however large the config.
+  // Widths compare without building anything. Past these tests the empty
+  // sketch allocates no more than the checked one holds, however large the
+  // config.
   if (sketch.hyperplane_acc.dot.size() != hyperplane_bits_ ||
       sketch.hyperplane_acc.ones_dot.size() != hyperplane_bits_ ||
       sketch.projection.k() != config_.projection_dims ||
-      sketch.projection_ones.k() != config_.projection_dims ||
-      sketch.sample.capacity() < config_.reservoir_capacity) {
+      sketch.projection_ones.k() != config_.projection_dims) {
     return false;
   }
   const NumericColumnSketch empty = MakeNumericSketch();
-  return sketch.quantiles.k_param() == empty.quantiles.k_param() &&
-         sketch.sample.capacity() == empty.sample.capacity();
+  return sketch.quantiles.k_param() == empty.quantiles.k_param();
 }
 
 bool BundleBuilder::MatchesGeometry(
@@ -165,7 +156,6 @@ void BundleBuilder::AccumulateNumericBlocked(const NumericColumn& column,
     const double v = column.value(row);
     sketch.moments.Add(v);
     sketch.quantiles.Update(v);
-    sketch.sample.Add(v);
     scratch.values.push_back(v);
     scratch.local_rows.push_back(static_cast<uint32_t>(row - panel.row_begin));
   }
@@ -222,7 +212,6 @@ void BundleBuilder::AccumulateNumericBlockedGroup(
         const double value = v[j];
         sketch.moments.Add(value);
         sketch.quantiles.Update(value);
-        sketch.sample.Add(value);
       }
       values[c] = v;
       hyperplane_accs[c] = sketch.hyperplane_acc.dot.data();
@@ -276,7 +265,6 @@ void BundleBuilder::AccumulateRowValue(
   FORESIGHT_DCHECK(projection_row.size() == config_.projection_dims);
   sketch.moments.Add(value);
   sketch.quantiles.Update(value);
-  sketch.sample.Add(value);
   double* dot = sketch.hyperplane_acc.dot.data();
   double* ones_dot = sketch.hyperplane_acc.ones_dot.data();
   const double* hp = hyperplane_row.data();

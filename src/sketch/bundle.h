@@ -7,11 +7,10 @@
 #include <vector>
 
 #include "data/column.h"
-#include "sketch/panel_cache.h"
 #include "sketch/entropy.h"
 #include "sketch/kll.h"
+#include "sketch/panel_cache.h"
 #include "sketch/random_projection.h"
-#include "sketch/reservoir.h"
 #include "sketch/simhash.h"
 #include "sketch/spacesaving.h"
 #include "stats/moments.h"
@@ -25,7 +24,6 @@ struct SketchConfig {
   size_t hyperplane_bits = 0;
   size_t projection_dims = 64;
   size_t kll_k = 200;
-  size_t reservoir_capacity = 1024;
   size_t spacesaving_capacity = 64;
   size_t entropy_k = 128;
   uint64_t seed = 0xF0E51647;
@@ -35,13 +33,13 @@ struct SketchConfig {
 };
 
 /// All sketch state for one NUMERIC column: moments (exact, single-pass),
-/// KLL quantiles, reservoir sample, hyperplane signature, JL projection.
+/// KLL quantiles, hyperplane signature, JL projection. Raw points come from
+/// the profile's shared row sample (TableProfile::sampled_numeric).
 /// This is the §3 composition: one preprocessing pass fills every member,
 /// and disjoint row ranges merge member-wise.
 struct NumericColumnSketch {
   RunningMoments moments;
   KllSketch quantiles;
-  ReservoirSample sample;
   /// Raw mergeable accumulator; BundleBuilder::FinalizeNumeric derives
   /// `signature` from it and the mean.
   HyperplaneAccumulator hyperplane_acc;
@@ -114,8 +112,8 @@ class BundleBuilder {
   CategoricalColumnSketch MakeCategoricalSketch() const;
 
   /// True when `sketch` has the sizes and seeds of the empty sketch the
-  /// matching factory builds: hyperplane and projection widths, KLL k and
-  /// reservoir capacity; SpaceSaving capacity, entropy k and entropy seed.
+  /// matching factory builds: hyperplane and projection widths and KLL k;
+  /// SpaceSaving capacity, entropy k and entropy seed.
   /// Sketches of one geometry pair with each other and merge with the
   /// builder's deltas, so LoadProfile holds every column to this rule rather
   /// than let a mismatch abort the first query or append.

@@ -176,33 +176,6 @@ StatusOr<KllSketch> KllFromJson(const JsonValue& json) {
   return KllSketch::FromRaw(k, rng_state, count, min, max, std::move(levels));
 }
 
-JsonValue ReservoirToJson(const ReservoirSample& sample) {
-  JsonValue json = JsonValue::Object();
-  json.Set("capacity", sample.capacity());
-  json.Set("seen", U64(sample.seen()));
-  json.Set("values", DoubleArray(sample.values()));
-  return json;
-}
-
-StatusOr<ReservoirSample> ReservoirFromJson(const JsonValue& json) {
-  FORESIGHT_ASSIGN_OR_RETURN(size_t capacity,
-                             ParseBoundedSize(json.Get("capacity"), "capacity"));
-  FORESIGHT_ASSIGN_OR_RETURN(uint64_t seen, ParseU64(json.Get("seen"), "seen"));
-  FORESIGHT_ASSIGN_OR_RETURN(std::vector<double> values,
-                             ParseDoubleArray(json.Get("values"), "values"));
-  // A reservoir never holds more than its capacity, and never more values
-  // than stream elements observed; a document claiming either is corrupt.
-  if (values.size() > capacity) {
-    return Status::ParseError("reservoir holds more values than capacity");
-  }
-  if (values.size() > seen) {
-    return Status::ParseError("reservoir holds more values than seen");
-  }
-  return ReservoirSample::FromRaw(capacity,
-                                  /*seed=*/capacity * 2654435761u + seen, seen,
-                                  std::move(values));
-}
-
 JsonValue HyperplaneAccToJson(const HyperplaneAccumulator& acc) {
   JsonValue json = JsonValue::Object();
   json.Set("dot", DoubleArray(acc.dot));
@@ -315,7 +288,6 @@ JsonValue NumericSketchToJson(const NumericColumnSketch& sketch) {
   JsonValue json = JsonValue::Object();
   json.Set("moments", MomentsToJson(sketch.moments));
   json.Set("quantiles", KllToJson(sketch.quantiles));
-  json.Set("sample", ReservoirToJson(sketch.sample));
   json.Set("hyperplane_acc", HyperplaneAccToJson(sketch.hyperplane_acc));
   json.Set("projection", ProjectionToJson(sketch.projection));
   json.Set("projection_ones", ProjectionToJson(sketch.projection_ones));
@@ -330,9 +302,6 @@ StatusOr<NumericColumnSketch> NumericSketchFromJson(const JsonValue& json) {
   field = json.Get("quantiles");
   if (field == nullptr) return Status::ParseError("missing quantiles");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.quantiles, KllFromJson(*field));
-  field = json.Get("sample");
-  if (field == nullptr) return Status::ParseError("missing sample");
-  FORESIGHT_ASSIGN_OR_RETURN(sketch.sample, ReservoirFromJson(*field));
   field = json.Get("hyperplane_acc");
   if (field == nullptr) return Status::ParseError("missing hyperplane_acc");
   FORESIGHT_ASSIGN_OR_RETURN(sketch.hyperplane_acc,
@@ -378,7 +347,6 @@ JsonValue SketchConfigToJson(const SketchConfig& config) {
   json.Set("hyperplane_bits", config.hyperplane_bits);
   json.Set("projection_dims", config.projection_dims);
   json.Set("kll_k", config.kll_k);
-  json.Set("reservoir_capacity", config.reservoir_capacity);
   json.Set("spacesaving_capacity", config.spacesaving_capacity);
   json.Set("entropy_k", config.entropy_k);
   json.Set("seed", U64(config.seed));
@@ -402,9 +370,6 @@ StatusOr<SketchConfig> SketchConfigFromJson(const JsonValue& json) {
   }
   FORESIGHT_ASSIGN_OR_RETURN(config.kll_k,
                              ParseBoundedSize(json.Get("kll_k"), "kll_k"));
-  FORESIGHT_ASSIGN_OR_RETURN(
-      config.reservoir_capacity,
-      ParseBoundedSize(json.Get("reservoir_capacity"), "reservoir_capacity"));
   FORESIGHT_ASSIGN_OR_RETURN(
       config.spacesaving_capacity,
       ParseBoundedSize(json.Get("spacesaving_capacity"),

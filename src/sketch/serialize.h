@@ -26,9 +26,6 @@ StatusOr<RunningMoments> MomentsFromJson(const JsonValue& json);
 JsonValue KllToJson(const KllSketch& sketch);
 StatusOr<KllSketch> KllFromJson(const JsonValue& json);
 
-JsonValue ReservoirToJson(const ReservoirSample& sample);
-StatusOr<ReservoirSample> ReservoirFromJson(const JsonValue& json);
-
 JsonValue HyperplaneAccToJson(const HyperplaneAccumulator& acc);
 StatusOr<HyperplaneAccumulator> HyperplaneAccFromJson(const JsonValue& json);
 

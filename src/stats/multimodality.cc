@@ -42,23 +42,33 @@ KdeResult ComputeKde(const std::vector<double>& values, size_t grid_size) {
   for (size_t g = 0; g < grid_size; ++g) {
     result.grid[g] = lo + step * static_cast<double>(g);
   }
-  // Direct evaluation with a 4-bandwidth cutoff; the data is sorted, so for
-  // each grid point only a contiguous window of points contributes.
-  double cutoff = 4.0 * bandwidth;
-  size_t window_begin = 0;
-  for (size_t g = 0; g < grid_size; ++g) {
-    double x = result.grid[g];
-    while (window_begin < sorted.size() && sorted[window_begin] < x - cutoff) {
-      ++window_begin;
+  // Each point adds its kernel to the grid points within a 4-bandwidth
+  // cutoff, a contiguous run [first, end) that moves right with the sorted
+  // data. Along the regular grid u = (x - s) / bandwidth steps by delta, so
+  // the kernel follows K(g + 1) = K(g) * r(g) with r(g + 1) = r(g) *
+  // exp(-delta^2): two exp calls per point instead of one per (grid point,
+  // point) pair, within about 1e-13 of the peak of the direct sum.
+  const double cutoff = 4.0 * bandwidth;
+  const double delta = step / bandwidth;
+  const double decay = std::exp(-delta * delta);
+  size_t first = 0;
+  for (double s : sorted) {
+    while (first < grid_size && !(s <= result.grid[first] + cutoff)) ++first;
+    size_t end = first;
+    while (end < grid_size && !(s < result.grid[end] - cutoff)) ++end;
+    if (end == first) continue;
+    double u = (result.grid[first] - s) / bandwidth;
+    double kernel = std::exp(-0.5 * u * u);
+    result.density[first] += kernel;
+    if (end - first == 1) continue;
+    double ratio = std::exp(-delta * (u + 0.5 * delta));
+    for (size_t g = first + 1; g < end; ++g) {
+      kernel *= ratio;
+      ratio *= decay;
+      result.density[g] += kernel;
     }
-    double sum = 0.0;
-    for (size_t i = window_begin; i < sorted.size() && sorted[i] <= x + cutoff;
-         ++i) {
-      double u = (x - sorted[i]) / bandwidth;
-      sum += std::exp(-0.5 * u * u);
-    }
-    result.density[g] = sum * kInvSqrt2Pi / (n * bandwidth);
   }
+  for (double& d : result.density) d = d * kInvSqrt2Pi / (n * bandwidth);
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -65,6 +66,39 @@ StatusOr<UniqueFd> CreateListenSocket(uint16_t port, int backlog,
   }
   FORESIGHT_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
   return fd;
+}
+
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  auto error = [&path](const char* what) {
+    const int code = errno;  // Read before any allocation can change it.
+    return Status::IOError(std::string(what) + " '" + path +
+                           "': " + std::strerror(code));
+  };
+  UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) return error("cannot open");
+  struct stat info = {};
+  if (::fstat(fd.get(), &info) != 0) return error("cannot stat");
+  std::string bytes(info.st_size > 0 ? static_cast<size_t>(info.st_size) : 0,
+                    '\0');
+  size_t filled = 0;
+  char overflow[4096];
+  while (true) {
+    // Fill the sized string first; once it is full, a small read probes for
+    // EOF and appends whatever the file gained since fstat.
+    const bool sized = filled < bytes.size();
+    char* dest = sized ? bytes.data() + filled : overflow;
+    const size_t room = sized ? bytes.size() - filled : sizeof(overflow);
+    const ssize_t got = ::read(fd.get(), dest, room);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return error("error reading");
+    }
+    if (got == 0) break;
+    if (!sized) bytes.append(overflow, static_cast<size_t>(got));
+    filled += static_cast<size_t>(got);
+  }
+  bytes.resize(filled);
+  return bytes;
 }
 
 }  // namespace foresight

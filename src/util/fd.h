@@ -2,6 +2,7 @@
 #define FORESIGHT_UTIL_FD_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "util/status.h"
@@ -53,6 +54,12 @@ Status SetNonBlocking(int fd);
 /// it must not listen on external interfaces.
 StatusOr<UniqueFd> CreateListenSocket(uint16_t port, int backlog,
                                       uint16_t* bound_port);
+
+/// Reads the whole file at `path`, bytes unchanged, into a string sized from
+/// the file, so the common case is one allocation and one read. Reads on to
+/// EOF, so a file that grew after it was sized is still read whole. Any
+/// failure to open, stat or read is an IOError.
+StatusOr<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace foresight
 

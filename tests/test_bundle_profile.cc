@@ -48,7 +48,6 @@ TEST(BundleBuilderTest, NumericSketchMatchesExactStats) {
   EXPECT_NEAR(sketch.moments.mean(), exact.mean(), 1e-9);
   EXPECT_NEAR(sketch.moments.variance(), exact.variance(), 1e-6);
   EXPECT_EQ(sketch.quantiles.count(), exact.count());
-  EXPECT_EQ(sketch.sample.seen(), exact.count());
   EXPECT_EQ(sketch.signature.num_bits(), 256u);
 }
 

@@ -122,24 +122,6 @@ TEST(DataTableTest, TypeIndexLists) {
   EXPECT_EQ(table.CategoricalColumnIndices(), (std::vector<size_t>{1}));
 }
 
-TEST(DataTableTest, SelectColumnsPreservesOrderAndData) {
-  DataTable table;
-  ASSERT_TRUE(table.AddNumericColumn("x", {1, 2}).ok());
-  ASSERT_TRUE(table.AddNumericColumn("y", {3, 4}).ok());
-  ASSERT_TRUE(table.AddNumericColumn("z", {5, 6}).ok());
-  auto selected = table.SelectColumns({2, 0});
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(selected->num_columns(), 2u);
-  EXPECT_EQ(selected->column_name(0), "z");
-  EXPECT_DOUBLE_EQ(selected->column(1).AsNumeric().value(1), 2.0);
-}
-
-TEST(DataTableTest, SelectColumnsRejectsBadIndex) {
-  DataTable table;
-  ASSERT_TRUE(table.AddNumericColumn("x", {1}).ok());
-  EXPECT_EQ(table.SelectColumns({5}).status().code(), StatusCode::kOutOfRange);
-}
-
 TEST(DataTableTest, CloneIsIndependent) {
   DataTable table;
   ASSERT_TRUE(table.AddNumericColumn("x", {1, 2}).ok());

@@ -1,9 +1,21 @@
 #include "data/csv.h"
 
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "util/fd.h"
 
 namespace foresight {
 namespace {
+
+std::string WriteTempFile(const std::string& name, const std::string& bytes) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
 
 TEST(CsvReaderTest, ParsesHeaderAndTypes) {
   auto table = CsvReader::ReadString("name,age,score\nalice,30,1.5\nbob,25,2.5\n");
@@ -124,6 +136,51 @@ TEST(CsvReaderTest, MissingFileIsIOError) {
   auto table = CsvReader::ReadFile("/nonexistent/path.csv");
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kIOError);
+}
+
+TEST(CsvReaderTest, ReadFileEqualsReadStringOnTheSameBytes) {
+  // Quoted delimiters and newlines, CRLF endings, missing markers, blank
+  // lines and a categorical column.
+  std::string text = "id,label,score\r\n";
+  for (int i = 0; i < 400; ++i) {
+    text += std::to_string(i) + ",\"tag, " + std::to_string(i % 7) +
+            "\nline\"," + (i % 9 == 0 ? "NA" : std::to_string(0.25 * i)) +
+            "\r\n";
+    if (i % 100 == 0) text += "\r\n";
+  }
+  const std::string path = WriteTempFile("foresight_csv_same_bytes.csv", text);
+  auto from_file = CsvReader::ReadFile(path);
+  auto from_string = CsvReader::ReadString(text);
+  ASSERT_TRUE(from_file.ok()) << from_file.status();
+  ASSERT_TRUE(from_string.ok()) << from_string.status();
+  EXPECT_EQ(from_file->num_rows(), 400u);
+  EXPECT_EQ(CsvWriter::WriteString(*from_file),
+            CsvWriter::WriteString(*from_string));
+}
+
+TEST(ReadFileBytesTest, ReturnsEveryByteUnchanged) {
+  // Every byte value, NUL and 0xFF included.
+  std::string bytes;
+  for (int i = 0; i < 64 * 1024 + 3; ++i) {
+    bytes.push_back(static_cast<char>((i * 131 + i / 256) & 0xFF));
+  }
+  ASSERT_NE(bytes.find('\0'), std::string::npos);
+  ASSERT_NE(bytes.find('\xFF'), std::string::npos);
+  auto read = ReadFileBytes(WriteTempFile("foresight_read_bytes.bin", bytes));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, bytes);
+}
+
+TEST(ReadFileBytesTest, EmptyFileIsAnEmptyString) {
+  auto read = ReadFileBytes(WriteTempFile("foresight_read_empty.bin", ""));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(read->empty());
+}
+
+TEST(ReadFileBytesTest, MissingPathIsIOError) {
+  auto read = ReadFileBytes("/nonexistent/path.bin");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
 }
 
 TEST(CsvRoundTripTest, WriteThenReadPreservesData) {

@@ -218,35 +218,40 @@ TEST_F(DatasetRegistryTest, CorruptSnapshotFallsBackToRebuild) {
 }
 
 TEST_F(DatasetRegistryTest, OldProfileVersionFallsBackToRebuild) {
-  // A checksum-correct snapshot of the right table whose profile document is
-  // version 1 (written before signatures were derived on load): stale, so
-  // the dataset rebuilds and serves from the fresh profile.
+  // Checksum-correct snapshots of the right table whose profile documents
+  // are older versions (1 stored signatures, 2 a reservoir sample per
+  // numeric column): stale, so the dataset rebuilds and serves from the
+  // fresh profile.
   const std::string csv_path = dir_ + "/ds0.csv";
   auto table = CsvReader::ReadFile(csv_path);
   ASSERT_TRUE(table.ok());
   auto profile = Preprocessor::Profile(*table);
   ASSERT_TRUE(profile.ok());
-  JsonValue document = profile->ToJson();
-  document.Set("version", 1);
-  const std::string stale =
-      SnapshotWithDocument(EncodeProfileSnapshot(*profile), document);
-  ASSERT_TRUE(InspectProfileSnapshot(stale).ok());
-  {
-    std::ofstream out(dir_ + "/ds0.fsnap", std::ios::binary | std::ios::trunc);
-    out << stale;
+  for (int version : {1, 2}) {
+    SCOPED_TRACE(version);
+    JsonValue document = profile->ToJson();
+    document.Set("version", version);
+    const std::string stale =
+        SnapshotWithDocument(EncodeProfileSnapshot(*profile), document);
+    ASSERT_TRUE(InspectProfileSnapshot(stale).ok());
+    {
+      std::ofstream out(dir_ + "/ds0.fsnap",
+                        std::ios::binary | std::ios::trunc);
+      out << stale;
+    }
+    std::unique_ptr<DatasetRegistry> registry = MakeRegistry(0);
+    auto pinned = registry->Acquire("ds0");
+    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+    EXPECT_FALSE((*pinned)->loaded_from_snapshot());
+    EXPECT_EQ(registry->stats().load_failures, 0u);
+    InsightQuery query;
+    query.class_name = "linear_relationship";
+    query.mode = ExecutionMode::kSketch;
+    query.top_k = 3;
+    auto result = (*pinned)->session().Execute(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->insights.empty());
   }
-  std::unique_ptr<DatasetRegistry> registry = MakeRegistry(0);
-  auto pinned = registry->Acquire("ds0");
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_FALSE((*pinned)->loaded_from_snapshot());
-  EXPECT_EQ(registry->stats().load_failures, 0u);
-  InsightQuery query;
-  query.class_name = "linear_relationship";
-  query.mode = ExecutionMode::kSketch;
-  query.top_k = 3;
-  auto result = (*pinned)->session().Execute(query);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->insights.empty());
 }
 
 TEST_F(DatasetRegistryTest, MissingTableIsALoadFailureAndRetries) {

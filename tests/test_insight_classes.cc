@@ -1,5 +1,6 @@
 // Per-class correctness tests on crafted tables with known ground truth.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -315,6 +316,99 @@ TEST_F(InsightClassTest, RegistryRejectsDuplicates) {
   ASSERT_TRUE(registry.Register(MakeSkewClass()).ok());
   EXPECT_EQ(registry.Register(MakeSkewClass()).code(),
             StatusCode::kAlreadyExists);
+}
+
+/// `rows` rows of three numeric columns with nulls: a bimodal one, a normal
+/// one, and one with planted outliers.
+DataTable SampledTable(size_t rows) {
+  Rng rng(7);
+  NumericColumn bimodal, normal, spiky;
+  for (size_t i = 0; i < rows; ++i) {
+    if (i % 11 == 3) {
+      bimodal.AppendNull();
+    } else {
+      bimodal.Append(rng.UniformDouble() < 0.4 ? rng.Normal(-4.0, 1.0)
+                                               : rng.Normal(3.0, 1.5));
+    }
+    if (i % 5 == 0) {
+      normal.AppendNull();
+    } else {
+      normal.Append(rng.Normal(10.0, 2.0));
+    }
+    if (i % 7 == 1) {
+      spiky.AppendNull();
+    } else {
+      spiky.Append(i % 97 == 0 ? 25.0 + rng.Normal() : rng.Normal());
+    }
+  }
+  DataTable table;
+  auto add = [&table](const char* name, NumericColumn& column) {
+    EXPECT_TRUE(table
+                    .AddColumn(name, std::make_unique<NumericColumn>(
+                                         std::move(column)))
+                    .ok());
+  };
+  add("bimodal", bimodal);
+  add("normal", normal);
+  add("spiky", spiky);
+  return table;
+}
+
+TEST(SampledUnivariateTest, MultimodalitySketchIsExactWhenTheSampleIsEveryRow) {
+  // The default 2048-row sample covers all 2000 rows, so the sketch path's
+  // non-null sample values are the exact path's valid values, in row order.
+  const DataTable table = SampledTable(2000);
+  auto profile = Preprocessor::Profile(table);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+  ASSERT_EQ(profile->sampled_rows().size(), table.num_rows());
+  auto c = MakeMultimodalityClass();
+  for (size_t col : table.NumericColumnIndices()) {
+    SCOPED_TRACE(table.column_name(col));
+    ASSERT_GT(table.column(col).null_count(), 0u);
+    const AttributeTuple tuple{{col}};
+    auto exact = c->EvaluateExact(table, tuple, "kde_modality");
+    auto sketch = c->EvaluateSketch(*profile, tuple, "kde_modality");
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    ASSERT_TRUE(sketch.ok()) << sketch.status();
+    EXPECT_EQ(*sketch, *exact);
+  }
+}
+
+TEST(SampledUnivariateTest, OutliersSketchAppliesKllFencesToTheRowSample) {
+  // 6000 rows subsample to 2048, some of them null slots (NaN).
+  const DataTable table = SampledTable(6000);
+  auto profile = Preprocessor::Profile(table);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+  const size_t col = *table.ColumnIndex("spiky");
+  const std::vector<double>& sampled = profile->sampled_numeric(col);
+  ASSERT_LT(sampled.size(), table.num_rows());
+  ASSERT_TRUE(std::any_of(sampled.begin(), sampled.end(),
+                          [](double v) { return std::isnan(v); }));
+
+  // Tukey fences from the column's KLL sketch over the non-null sample
+  // values, distances standardized by the exact moments.
+  const NumericColumnSketch& sketch = profile->numeric_sketch(col);
+  const double q1 = sketch.quantiles.Quantile(0.25);
+  const double q3 = sketch.quantiles.Quantile(0.75);
+  const double iqr = q3 - q1;
+  const double lo = q1 - 1.5 * iqr;
+  const double hi = q3 + 1.5 * iqr;
+  const double mean = sketch.moments.mean();
+  const double sigma = sketch.moments.stddev();
+  double total = 0.0;
+  size_t count = 0;
+  for (double v : sampled) {
+    if (std::isnan(v) || (v >= lo && v <= hi)) continue;
+    total += std::abs(v - mean) / sigma;
+    ++count;
+  }
+  ASSERT_GT(count, 0u);
+
+  auto c = MakeOutliersClass("iqr");
+  auto result = c->EvaluateSketch(*profile, AttributeTuple{{col}},
+                                  "mean_standardized_distance");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, total / static_cast<double>(count));
 }
 
 }  // namespace

@@ -4,16 +4,12 @@
 // bitwise where that is provable (integer counter unions, concatenation
 // below compaction/capacity, empty-operand adoption), semantically (counts
 // exact, estimates within tolerance) where floating-point merge reassociates
-// sums. Also pins the merge bugfixes this PR ships: the ReservoirSample
-// adoption clamp (merging an over-capacity operand into an empty reservoir
-// must not overfill it) and logical-state merge seeding (a FromRaw
-// round-tripped reservoir merges bit-identically to the original).
+// sums.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +17,6 @@
 #include "data/column.h"
 #include "sketch/bundle.h"
 #include "sketch/kll.h"
-#include "sketch/reservoir.h"
 #include "sketch/serialize.h"
 #include "util/json.h"
 
@@ -32,15 +27,14 @@ constexpr size_t kRows = 96;
 
 /// Bundle geometry for the sweep. Hyperplane width is pinned (auto-resolution
 /// depends on n, and the two partitions see different n than the union);
-/// reservoir and KLL capacities exceed kRows so the "concatenation below
-/// capacity" bitwise guarantees are exercised; SpaceSaving capacity exceeds
+/// KLL capacity exceeds kRows so the "concatenation below capacity" bitwise
+/// guarantee is exercised; SpaceSaving capacity exceeds
 /// the distinct-item count so counter unions stay exact.
 SketchConfig TestConfig() {
   SketchConfig config;
   config.hyperplane_bits = 64;
   config.projection_dims = 8;
   config.kll_k = 200;
-  config.reservoir_capacity = 128;
   config.spacesaving_capacity = 16;
   config.entropy_k = 32;
   return config;
@@ -114,7 +108,6 @@ TEST(MergeEquivalence, NumericSplitMergeMatchesOnePass) {
     EXPECT_EQ(merged.moments.min(), one_pass.moments.min());
     EXPECT_EQ(merged.moments.max(), one_pass.moments.max());
     EXPECT_EQ(merged.quantiles.count(), one_pass.quantiles.count());
-    EXPECT_EQ(merged.sample.seen(), one_pass.sample.seen());
 
     // Moment sums reassociate under merge; values must agree to fp noise.
     EXPECT_NEAR(merged.moments.mean(), one_pass.moments.mean(), 1e-12);
@@ -125,9 +118,6 @@ TEST(MergeEquivalence, NumericSplitMergeMatchesOnePass) {
     // stream order: the serialized sketches are byte-identical.
     EXPECT_EQ(KllToJson(merged.quantiles).Dump(),
               KllToJson(one_pass.quantiles).Dump());
-    // Same for the reservoir while the union fits in capacity.
-    EXPECT_EQ(ReservoirToJson(merged.sample).Dump(),
-              ReservoirToJson(one_pass.sample).Dump());
 
     // Dot-product accumulators merge by vector addition; elementwise values
     // must agree to fp noise (bit-identity only holds for empty operands).
@@ -246,60 +236,6 @@ TEST(MergeEquivalence, KllMergeAboveCompactionKeepsCountAndRankError) {
     // Values are ~Uniform(0,1), so rank error translates to value error.
     EXPECT_NEAR(left.Quantile(q), one_pass.Quantile(q), eps + 0.02) << q;
   }
-}
-
-TEST(MergeEquivalence, ReservoirAdoptionClampsOverCapacityOperand) {
-  // Regression: merging into a never-updated reservoir adopts the operand's
-  // values wholesale — which used to overfill when the operand held more
-  // elements than the receiver's capacity, silently breaking the capacity
-  // invariant (and the serialized-form validators). The clamp must keep a
-  // subset of the operand's elements and the operand's stream length.
-  ReservoirSample big(/*capacity=*/16, /*seed=*/5);
-  for (size_t i = 0; i < 10; ++i) big.Add(static_cast<double>(i) * 1.5);
-
-  ReservoirSample small(/*capacity=*/4, /*seed=*/9);
-  small.Merge(big);
-  EXPECT_EQ(small.values().size(), 4u);
-  EXPECT_EQ(small.seen(), 10u);
-  std::unordered_set<double> pool(big.values().begin(), big.values().end());
-  for (double v : small.values()) EXPECT_TRUE(pool.count(v) > 0) << v;
-
-  // Clamped adoption is deterministic: a second identical merge bit-matches.
-  ReservoirSample again(/*capacity=*/4, /*seed=*/1234);  // member seed unused
-  again.Merge(big);
-  EXPECT_EQ(ReservoirToJson(again).Dump(), ReservoirToJson(small).Dump());
-}
-
-TEST(MergeEquivalence, ReservoirMergeSeedsFromLogicalStateNotMemberRng) {
-  // Regression: merge randomness must derive from (seen, seen, capacity),
-  // never the member RNG, whose position depends on construction history. A
-  // reservoir round-tripped through serialization (fresh RNG) must merge
-  // bit-identically to the original (advanced RNG).
-  ReservoirSample a(/*capacity=*/8, /*seed=*/21);
-  ReservoirSample b(/*capacity=*/8, /*seed=*/22);
-  for (size_t i = 0; i < 300; ++i) {
-    a.Add(static_cast<double>(i) * 0.25);
-    b.Add(1000.0 + static_cast<double>(i) * 0.5);
-  }
-
-  ReservoirSample merged_in_place = a;
-  merged_in_place.Merge(b);
-
-  auto a_round = ReservoirFromJson(ReservoirToJson(a));
-  auto b_round = ReservoirFromJson(ReservoirToJson(b));
-  ASSERT_TRUE(a_round.ok()) << a_round.status();
-  ASSERT_TRUE(b_round.ok()) << b_round.status();
-  a_round->Merge(*b_round);
-  EXPECT_EQ(ReservoirToJson(*a_round).Dump(),
-            ReservoirToJson(merged_in_place).Dump());
-
-  // And the general over-capacity merge path is itself deterministic.
-  ReservoirSample repeat = a;
-  repeat.Merge(b);
-  EXPECT_EQ(ReservoirToJson(repeat).Dump(),
-            ReservoirToJson(merged_in_place).Dump());
-  EXPECT_EQ(merged_in_place.seen(), 600u);
-  EXPECT_EQ(merged_in_place.values().size(), 8u);
 }
 
 TEST(MergeEquivalence, SpaceSavingMergeBeyondCapacityKeepsGuarantees) {

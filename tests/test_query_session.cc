@@ -170,11 +170,11 @@ TEST_F(QuerySessionTest, OrderInsensitiveQueryIsAHit) {
 }
 
 TEST_F(QuerySessionTest, EvictionAccountingUnderTinyBudget) {
-  QuerySessionOptions options;
-  options.cache.num_shards = 1;   // Deterministic: every key shares a shard.
+  QueryCacheOptions options;
+  options.num_shards = 1;   // Deterministic: every key shares a shard.
   // Large enough for any single result (oversized entries are skipped, not
   // stored), small enough that 40 of them cannot all stay resident.
-  options.cache.max_bytes = 32768;
+  options.max_bytes = 32768;
   QuerySession session(*engine_, options);
 
   size_t distinct = 0;
@@ -187,7 +187,7 @@ TEST_F(QuerySessionTest, EvictionAccountingUnderTinyBudget) {
   QueryCacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.misses, distinct);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.bytes, options.cache.max_bytes);
+  EXPECT_LE(stats.bytes, options.max_bytes);
   EXPECT_LT(stats.entries, distinct);
   // LRU: the most recent query must still be resident.
   auto recent = session.Execute(LinearQuery(40));

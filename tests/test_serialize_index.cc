@@ -49,15 +49,6 @@ TEST(SerializeTest, KllRoundTripPreservesQuantiles) {
   EXPECT_GT(continuing.Quantile(0.999), 10.0);
 }
 
-TEST(SerializeTest, ReservoirRoundTrip) {
-  ReservoirSample sample(128, 3);
-  for (int i = 0; i < 10000; ++i) sample.Add(i);
-  auto restored = ReservoirFromJson(ReservoirToJson(sample));
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->seen(), sample.seen());
-  EXPECT_EQ(restored->values(), sample.values());
-}
-
 TEST(SerializeTest, SpaceSavingRoundTrip) {
   Rng rng(5);
   SpaceSavingSketch sketch(32);

@@ -1,5 +1,4 @@
-// Tests for SpaceSaving, entropy sketch, reservoir sample, and random
-// projection sketch.
+// Tests for SpaceSaving, entropy sketch, and random projection sketch.
 
 #include <cmath>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 #include "data/generators.h"
 #include "sketch/entropy.h"
 #include "sketch/random_projection.h"
-#include "sketch/reservoir.h"
 #include "sketch/spacesaving.h"
 #include "stats/correlation.h"
 #include "stats/frequency.h"
@@ -153,47 +151,6 @@ TEST(EntropySketchTest, MergeEqualsSingleStream) {
 TEST(EntropySketchTest, EmptySketch) {
   EntropySketch sketch(64, 9);
   EXPECT_DOUBLE_EQ(sketch.EstimateEntropy(), 0.0);
-}
-
-TEST(ReservoirTest, KeepsEverythingUnderCapacity) {
-  ReservoirSample sample(100, 1);
-  for (int i = 0; i < 50; ++i) sample.Add(i);
-  EXPECT_EQ(sample.values().size(), 50u);
-  EXPECT_EQ(sample.seen(), 50u);
-}
-
-TEST(ReservoirTest, UniformityOverStream) {
-  // Each element of a stream of length 10000 should appear in a capacity-100
-  // reservoir with probability ~ 1%. Check the mean of sampled values is
-  // close to the stream mean across repetitions.
-  double total_mean = 0.0;
-  const int reps = 40;
-  for (int r = 0; r < reps; ++r) {
-    ReservoirSample sample(100, 100 + r);
-    for (int i = 0; i < 10000; ++i) sample.Add(i);
-    double mean = 0.0;
-    for (double v : sample.values()) mean += v;
-    total_mean += mean / static_cast<double>(sample.values().size());
-  }
-  EXPECT_NEAR(total_mean / reps, 4999.5, 300.0);
-}
-
-TEST(ReservoirTest, MergeProducesUniformUnion) {
-  // Stream A has values near 0, stream B near 1; after merging, the fraction
-  // of B-values in the reservoir should match B's share of the union.
-  double b_fraction_total = 0.0;
-  const int reps = 30;
-  for (int r = 0; r < reps; ++r) {
-    ReservoirSample a(200, 200 + r), b(200, 300 + r);
-    for (int i = 0; i < 30000; ++i) a.Add(0.0);
-    for (int i = 0; i < 10000; ++i) b.Add(1.0);
-    a.Merge(b);
-    EXPECT_EQ(a.seen(), 40000u);
-    double b_count = 0;
-    for (double v : a.values()) b_count += v;
-    b_fraction_total += b_count / static_cast<double>(a.values().size());
-  }
-  EXPECT_NEAR(b_fraction_total / reps, 0.25, 0.05);
 }
 
 TEST(ProjectionSketchTest, PreservesNormsAndDots) {

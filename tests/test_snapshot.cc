@@ -15,6 +15,7 @@
 #include "data/generators.h"
 #include "data/table.h"
 #include "serve/wire.h"
+#include "util/fd.h"
 #include "util/json.h"
 #include "util/json_binary.h"
 #include "util/thread_pool.h"

@@ -1,6 +1,8 @@
 // Tests for regression, multimodality, dependence, and clustering.
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +55,39 @@ TEST(KdeTest, DensityIntegratesToOne) {
                 (kde.grid[i] - kde.grid[i - 1]);
   }
   EXPECT_NEAR(integral, 1.0, 0.02);
+}
+
+TEST(KdeTest, MatchesDirectGaussianSumWithinTheCutoff) {
+  // The grid recurrence against one exp per (grid point, point) pair, over
+  // the same 4-bandwidth window: wide windows (8 points), two clusters, and
+  // a long right tail whose windows are narrower than the grid step.
+  Rng rng(6);
+  std::vector<std::vector<double>> inputs(3);
+  for (int i = 0; i < 8; ++i) inputs[0].push_back(rng.Normal());
+  for (int i = 0; i < 2048; ++i) {
+    inputs[1].push_back(rng.Normal(i % 2 == 0 ? -4.0 : 4.0, 1.0));
+    inputs[2].push_back(std::exp(3.0 * rng.Normal()));
+  }
+  for (const std::vector<double>& values : inputs) {
+    SCOPED_TRACE(values.size());
+    KdeResult kde = ComputeKde(values);
+    const double h = kde.bandwidth;
+    const double n = static_cast<double>(values.size());
+    std::vector<double> direct;
+    for (double x : kde.grid) {
+      double sum = 0.0;
+      for (double s : values) {
+        if (s < x - 4.0 * h || s > x + 4.0 * h) continue;
+        double u = (x - s) / h;
+        sum += std::exp(-0.5 * u * u);
+      }
+      direct.push_back(sum * 0.3989422804014327 / (n * h));
+    }
+    const double peak = *std::max_element(direct.begin(), direct.end());
+    for (size_t g = 0; g < direct.size(); ++g) {
+      EXPECT_NEAR(kde.density[g], direct[g], 1e-12 * peak) << "grid " << g;
+    }
+  }
 }
 
 TEST(ModesTest, UnimodalNormalHasOneMode) {
