@@ -410,24 +410,22 @@ bool MentionsBoth(const Insight& insight, const std::string& a,
          std::find(names.begin(), names.end(), b) != names.end();
 }
 
-/// The analyst's six steps at the paper's intended scale (the demo table has
-/// 35 rows; Foresight targets "the order of 100K").
-void RunScenario(BenchReport* report) {
-  std::printf("E7 §4.1 usage scenario, OECD 100k rows\n");
-  const DataTable table = MakeOecdLike(100000, 1);
-  WallTimer timer;
-  const InsightEngine engine =
-      ValueOrExit(InsightEngine::Create(table), "E7 engine");
-  BenchWorkload workload{"E7 §4.1 scenario, OECD 100k"};
-  workload.end_to_end.Set("preprocess_seconds", timer.ElapsedSeconds());
+/// One step of the scenario: its wall time and whether its claim held.
+struct ScenarioStep {
+  std::string name;
+  double ms = 0.0;
+  bool ok = false;
+};
+
+/// The analyst's six steps, once, on a fresh ExplorationSession (so a fresh
+/// result cache: the carousels are built, not replayed).
+std::vector<ScenarioStep> RunScenarioOnce(const DataTable& table,
+                                          const InsightEngine& engine) {
+  std::vector<ScenarioStep> steps;
   ExplorationSession session(engine);
-  timer.Restart();
+  WallTimer timer;
   auto step = [&](const std::string& name, bool ok) {
-    const double ms = timer.ElapsedMillis();
-    std::printf("  [%s] %-28s %8.1f ms\n", ok ? "PASS" : "FAIL", name.c_str(),
-                ms);
-    workload.end_to_end.Set(name + "_ms", ms);
-    workload.gates.Set(name, ok);
+    steps.push_back({name, timer.ElapsedMillis(), ok});
     timer.Restart();
   };
 
@@ -504,6 +502,43 @@ void RunScenario(BenchReport* report) {
       ExplorationSession::LoadState(engine, session.SaveState()),
       "E7 restore");
   step("save_restore", restored.focused().size() == session.focused().size());
+  return steps;
+}
+
+/// The scenario at the paper's intended scale (the demo table has 35 rows;
+/// Foresight targets "the order of 100K"). A single timing of a step in the
+/// 10 ms range moves by 2x between runs, so the scenario replays
+/// kScenarioReps times and each step reports its median time; its gate
+/// holds only if it held in every replay.
+void RunScenario(BenchReport* report) {
+  constexpr size_t kScenarioReps = 7;
+  std::printf("E7 §4.1 usage scenario, OECD 100k rows (median of %zu)\n",
+              kScenarioReps);
+  const DataTable table = MakeOecdLike(100000, 1);
+  WallTimer timer;
+  const InsightEngine engine =
+      ValueOrExit(InsightEngine::Create(table), "E7 engine");
+  BenchWorkload workload{"E7 §4.1 scenario, OECD 100k"};
+  workload.end_to_end.Set("preprocess_seconds", timer.ElapsedSeconds());
+  std::vector<std::vector<ScenarioStep>> runs;
+  for (size_t rep = 0; rep < kScenarioReps; ++rep) {
+    runs.push_back(RunScenarioOnce(table, engine));
+  }
+  for (size_t s = 0; s < runs.front().size(); ++s) {
+    const std::string& name = runs.front()[s].name;
+    std::vector<double> ms;
+    bool ok = true;
+    for (const std::vector<ScenarioStep>& run : runs) {
+      ms.push_back(run[s].ms);
+      ok = ok && run[s].ok;
+    }
+    std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+    const double median = ms[ms.size() / 2];
+    std::printf("  [%s] %-28s %8.1f ms\n", ok ? "PASS" : "FAIL", name.c_str(),
+                median);
+    workload.end_to_end.Set(name + "_ms", median);
+    workload.gates.Set(name, ok);
+  }
   report->Add(std::move(workload));
 }
 

@@ -232,9 +232,20 @@ class MonotonicRelationshipClass final : public InsightClass {
       return KendallTau(pair.x, pair.y);
     }
     // Spearman over the profile's precomputed per-column midranks: a plain
-    // O(m) Pearson per pair, which keeps all-pairs ranking interactive.
-    const std::vector<double>& rx = profile.sampled_ranks(tuple.indices[0]);
-    const std::vector<double>& ry = profile.sampled_ranks(tuple.indices[1]);
+    // O(m) Pearson per pair, which keeps all-pairs ranking interactive. When
+    // neither side has a null slot, each side's mean and sum of squares are
+    // precomputed too and only the cross-product loop runs.
+    const ColumnSample& a = profile.sample(tuple.indices[0]);
+    const ColumnSample& b = profile.sample(tuple.indices[1]);
+    if (a.dense && b.dense) {
+      if (a.ranks.size() < 2) return 0.0;
+      return PearsonFromSums(
+          CenteredCrossProduct(a.ranks, a.rank_moments.mean, b.ranks,
+                               b.rank_moments.mean),
+          a.rank_moments.sum_squares, b.rank_moments.sum_squares);
+    }
+    const std::vector<double>& rx = a.ranks;
+    const std::vector<double>& ry = b.ranks;
     std::vector<double> x, y;
     x.reserve(rx.size());
     y.reserve(ry.size());
@@ -295,6 +306,13 @@ class GeneralDependenceClass final : public InsightClass {
                                   const std::string& metric) const override {
     FORESIGHT_RETURN_IF_ERROR(ExpectNumeric(profile.table(), tuple, 2));
     FORESIGHT_RETURN_IF_ERROR(ExpectMetric(metric, metric_names()));
+    // Columns with no null slot were binned when the sample was built; a
+    // pair with a null slot bins its pairwise-complete rows here.
+    const ColumnSample& a = profile.sample(tuple.indices[0]);
+    const ColumnSample& b = profile.sample(tuple.indices[1]);
+    if (a.dense && b.dense) {
+      return NormalizedMutualInformationFromBins(a.bins, b.bins);
+    }
     SampledPair pair =
         SampledPairs(profile, tuple.indices[0], tuple.indices[1]);
     return NormalizedMutualInformation(pair.x, pair.y);

@@ -176,8 +176,8 @@ class OutliersClass final : public InsightClass {
     FORESIGHT_RETURN_IF_ERROR(ExpectMetric(metric, metric_names()));
     const NumericColumnSketch& sketch = profile.numeric_sketch(tuple.indices[0]);
     if (sketch.quantiles.empty()) return 0.0;
-    double q1 = sketch.quantiles.Quantile(0.25);
-    double q3 = sketch.quantiles.Quantile(0.75);
+    double q1 = sketch.quantile_view.Quantile(0.25);
+    double q3 = sketch.quantile_view.Quantile(0.75);
     double iqr = q3 - q1;
     if (iqr <= 0.0) return 0.0;
     double lo = q1 - 1.5 * iqr;

@@ -413,6 +413,14 @@ InsightQueryResult InsightEngine::AssembleResult(
   InsightQueryResult result;
   result.mode_used = resolved.mode;
   result.candidates_evaluated = positions.size();
+  // Filter and rank (score, candidate) pairs; only the k kept become
+  // Insight records, so an all-pairs query describes k tuples, not all.
+  struct Ranked {
+    double score;
+    size_t index;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(positions.size());
   for (size_t i : positions) {
     if (!std::isfinite(raw_values[i])) {
       // The metric is undefined for this tuple (e.g. kurtosis of a constant
@@ -425,9 +433,7 @@ InsightQueryResult InsightEngine::AssembleResult(
     double score = insight_class.Score(raw_values[i]);
     if (query.min_score.has_value() && score < *query.min_score) continue;
     if (query.max_score.has_value() && score > *query.max_score) continue;
-    result.insights.push_back(BuildInsight(insight_class, candidates[i],
-                                           resolved.metric, raw_values[i],
-                                           resolved.mode));
+    ranked.push_back({score, i});
   }
 
   // Rank by descending score (ties: attribute order for determinism). The
@@ -435,21 +441,24 @@ InsightQueryResult InsightEngine::AssembleResult(
   // selecting the top k with nth_element and then sorting just those k gives
   // exactly the prefix a full sort would — in O(c + k log k) instead of
   // O(c log c) when top_k << candidates.
-  auto stronger = [](const Insight& a, const Insight& b) {
+  auto stronger = [&candidates](const Ranked& a, const Ranked& b) {
     if (a.score != b.score) return a.score > b.score;
-    return a.attributes.indices < b.attributes.indices;
+    return candidates[a.index].indices < candidates[b.index].indices;
   };
-  if (result.insights.size() > query.top_k) {
-    std::nth_element(result.insights.begin(),
-                     result.insights.begin() + query.top_k,
-                     result.insights.end(), stronger);
-    result.insights.resize(query.top_k);
-    // Drop the slack left by the full candidate list: these results are
-    // retained long-term by the QuerySession cache, and its byte accounting
-    // charges capacity, not size.
-    result.insights.shrink_to_fit();
+  if (ranked.size() > query.top_k) {
+    std::nth_element(ranked.begin(), ranked.begin() + query.top_k,
+                     ranked.end(), stronger);
+    ranked.resize(query.top_k);
   }
-  std::sort(result.insights.begin(), result.insights.end(), stronger);
+  std::sort(ranked.begin(), ranked.end(), stronger);
+  // Sized exactly: these results are retained long-term by the QuerySession
+  // cache, and its byte accounting charges capacity, not size.
+  result.insights.reserve(ranked.size());
+  for (const Ranked& r : ranked) {
+    result.insights.push_back(BuildInsight(insight_class, candidates[r.index],
+                                           resolved.metric, raw_values[r.index],
+                                           resolved.mode));
+  }
   return result;
 }
 

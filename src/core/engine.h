@@ -289,9 +289,10 @@ class InsightEngine {
   /// has already checked metrics are enabled.
   void RecordPruneMetrics(const PruneTelemetry& telemetry) const;
 
-  /// Applies score-range filters, builds Insight records, and ranks the top
-  /// k over the candidates at `positions` (the query's own candidates in
-  /// enumeration order); `raw_values` is indexed like `candidates`.
+  /// Applies score-range filters and ranks the top k over the candidates at
+  /// `positions` (the query's own candidates in enumeration order), then
+  /// builds Insight records for those k only; `raw_values` is indexed like
+  /// `candidates`.
   InsightQueryResult AssembleResult(
       const InsightQuery& query, const ResolvedQuery& resolved,
       const std::vector<AttributeTuple>& candidates,

@@ -300,25 +300,27 @@ const CategoricalColumnSketch& TableProfile::categorical_sketch(
   return it->second;
 }
 
+const ColumnSample& TableProfile::sample(size_t column) const {
+  FORESIGHT_CHECK_MSG(column < samples_.size(), "no sample for column");
+  return samples_[column];
+}
+
 const std::vector<double>& TableProfile::sampled_numeric(size_t column) const {
-  auto it = sampled_numeric_.find(column);
-  FORESIGHT_CHECK_MSG(it != sampled_numeric_.end(),
+  FORESIGHT_CHECK_MSG(has_numeric_sketch(column),
                       "no sampled values for column");
-  return it->second;
+  return sample(column).values;
 }
 
 const std::vector<double>& TableProfile::sampled_ranks(size_t column) const {
-  auto it = sampled_ranks_.find(column);
-  FORESIGHT_CHECK_MSG(it != sampled_ranks_.end(),
+  FORESIGHT_CHECK_MSG(has_numeric_sketch(column),
                       "no sampled ranks for column");
-  return it->second;
+  return sample(column).ranks;
 }
 
 const std::vector<int32_t>& TableProfile::sampled_codes(size_t column) const {
-  auto it = sampled_codes_.find(column);
-  FORESIGHT_CHECK_MSG(it != sampled_codes_.end(),
+  FORESIGHT_CHECK_MSG(has_categorical_sketch(column),
                       "no sampled codes for column");
-  return it->second;
+  return sample(column).codes;
 }
 
 size_t TableProfile::EstimateMemoryBytes() const {
@@ -329,6 +331,7 @@ size_t TableProfile::EstimateMemoryBytes() const {
     bytes += sketch.hyperplane_acc.dot.size() * 2 * sizeof(double);
     bytes += sketch.projection.components().size() * 2 * sizeof(double);
     bytes += sketch.quantiles.RetainedItems() * sizeof(double);
+    bytes += sketch.quantile_view.MemoryBytes();
     bytes += sizeof(RunningMoments);
   }
   // determinism-ok: integer sums are order-independent.
@@ -336,19 +339,12 @@ size_t TableProfile::EstimateMemoryBytes() const {
     bytes += sketch.entropy.registers().size() * sizeof(double);
     bytes += sketch.heavy_hitters.num_monitored() * 64;  // rough per-counter
   }
-  // Materialized per-column sample vectors all sum the same way; one helper
-  // keeps the accounting (and its suppression) in a single place.
-  auto sample_bytes = [](const auto& map, size_t element_size) {
-    size_t total = 0;
-    // determinism-ok: integer sums are order-independent.
-    for (const auto& [col, values] : map) {
-      total += values.size() * element_size;
-    }
-    return total;
-  };
-  bytes += sample_bytes(sampled_numeric_, sizeof(double));
-  bytes += sample_bytes(sampled_ranks_, sizeof(double));
-  bytes += sample_bytes(sampled_codes_, sizeof(int32_t));
+  for (const ColumnSample& sample : samples_) {
+    bytes += (sample.values.size() + sample.ranks.size()) * sizeof(double);
+    bytes += sample.codes.size() * sizeof(int32_t);
+    bytes += sample.bins.ids.size() * sizeof(uint8_t);
+    bytes += sample.bins.counts.size() * sizeof(double);
+  }
   bytes += sampled_rows_.size() * sizeof(size_t);
   return bytes;
 }
@@ -376,11 +372,10 @@ JsonValue TableProfile::ToJson() const {
   // table's null mask, and NaN is not representable in text JSON).
   JsonValue sample_ranks = JsonValue::Object();
   for (size_t column : numeric_cols) {
-    auto it = sampled_ranks_.find(column);
-    if (it == sampled_ranks_.end()) continue;
+    const std::vector<double>& ranks = samples_[column].ranks;
     std::vector<double> present;
-    present.reserve(it->second.size());
-    for (double rank : it->second) {
+    present.reserve(ranks.size());
+    for (double rank : ranks) {
       if (!std::isnan(rank)) present.push_back(rank);
     }
     sample_ranks.Set(table_->column_name(column),
@@ -688,9 +683,6 @@ Status Preprocessor::AppendToProfile(const DataTable& table, size_t old_rows,
   // The shared row sample depends only on (seed, n, sample size), not on how
   // the rows arrived: recompute and rematerialize it outright.
   profile->sampled_rows_ = ComputeSampledRows(n, options);
-  profile->sampled_numeric_.clear();
-  profile->sampled_ranks_.clear();
-  profile->sampled_codes_.clear();
   MaterializeSamples(table, *profile, workers);
 
   profile->builder_ = std::move(builder);
@@ -703,22 +695,18 @@ void Preprocessor::MaterializeSamples(
     const DataTable& table, TableProfile& profile, ThreadPool& pool,
     const std::unordered_map<size_t, std::vector<double>>*
         preset_present_ranks) {
-  // Extraction (and rank computation) runs per-column in parallel into
-  // indexed slots; the map emplacement below stays serial and in table
-  // order, so map contents and insertion order match the serial path.
-  struct ColumnSample {
-    std::vector<double> values;
-    std::vector<double> ranks;
-    std::vector<int32_t> codes;
-  };
-  std::vector<ColumnSample> slots(table.num_columns());
+  // Each column's sample is a pure function of that column and the sampled
+  // rows, so building them in parallel gives the serial result. Rebuilding in
+  // place frees an append's old sample before the new one grows.
+  std::vector<ColumnSample>& samples = profile.samples_;
+  samples.assign(table.num_columns(), ColumnSample());
   auto materialize_columns = [&](size_t col_begin, size_t col_end) {
     for (size_t c = col_begin; c < col_end; ++c) {
       const Column& column = table.column(c);
-      ColumnSample& slot = slots[c];
+      ColumnSample& sample = samples[c];
       if (column.type() == ColumnType::kNumeric) {
         const auto& numeric = column.AsNumeric();
-        std::vector<double>& values = slot.values;
+        std::vector<double>& values = sample.values;
         values.reserve(profile.sampled_rows_.size());
         size_t present_count = 0;
         for (size_t row : profile.sampled_rows_) {
@@ -751,7 +739,7 @@ void Preprocessor::MaterializeSamples(
           present_ranks = FractionalRanks(present);
           preset = &present_ranks;
         }
-        std::vector<double>& ranks = slot.ranks;
+        std::vector<double>& ranks = sample.ranks;
         ranks.resize(values.size());
         size_t next = 0;
         for (size_t i = 0; i < values.size(); ++i) {
@@ -759,9 +747,16 @@ void Preprocessor::MaterializeSamples(
                          ? std::numeric_limits<double>::quiet_NaN()
                          : (*preset)[next++];
         }
+        sample.dense = present_count == values.size();
+        if (sample.dense) {
+          sample.bins = BinEquiWidth(values);
+          if (!ranks.empty()) {
+            sample.rank_moments = ComputeCenteredMoments(ranks);
+          }
+        }
       } else {
         const auto& categorical = column.AsCategorical();
-        std::vector<int32_t>& codes = slot.codes;
+        std::vector<int32_t>& codes = sample.codes;
         codes.reserve(profile.sampled_rows_.size());
         for (size_t row : profile.sampled_rows_) {
           codes.push_back(categorical.code(row));
@@ -770,14 +765,6 @@ void Preprocessor::MaterializeSamples(
     }
   };
   pool.ParallelFor(0, table.num_columns(), 1, materialize_columns);
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (table.column(c).type() == ColumnType::kNumeric) {
-      profile.sampled_ranks_.emplace(c, std::move(slots[c].ranks));
-      profile.sampled_numeric_.emplace(c, std::move(slots[c].values));
-    } else {
-      profile.sampled_codes_.emplace(c, std::move(slots[c].codes));
-    }
-  }
 }
 
 }  // namespace foresight

@@ -9,12 +9,34 @@
 #include "data/table.h"
 #include "sketch/bundle.h"
 #include "sketch/panel_cache.h"
+#include "stats/correlation.h"
+#include "stats/dependence.h"
 #include "util/json.h"
 #include "util/status.h"
 
 namespace foresight {
 
 class ThreadPool;
+
+/// One column's slice of the shared row sample, plus what the pairwise
+/// estimators derive from it. Built when the sample is materialized (after
+/// a build, an append and a load); only the non-null midranks are stored in
+/// the profile document.
+struct ColumnSample {
+  /// Numeric columns: values aligned with sampled_rows(), NaN marking
+  /// nulls, and the midranks of the non-null values at the same slots.
+  std::vector<double> values;
+  std::vector<double> ranks;
+  /// Categorical columns: dictionary codes, -1 marking nulls.
+  std::vector<int32_t> codes;
+  /// Numeric columns with no null slot: every pairwise estimator reads the
+  /// whole sample, so its per-column halves are made here once. `bins` are
+  /// the equi-width mutual-information bins of `values`; `rank_moments` are
+  /// the mean and centered sum of squares of `ranks`.
+  bool dense = false;
+  EquiWidthBinning bins;
+  CenteredMoments rank_moments;
+};
 
 /// Everything the approximate query path needs, produced by one preprocessing
 /// pass over the table (§3: "the dataset is preprocessed to compute sketches,
@@ -24,7 +46,10 @@ class ThreadPool;
 ///   - a shared uniform ROW sample (row-aligned across columns), the one
 ///     source of raw points: outliers and multimodality read one column of
 ///     it, Spearman, mutual information and segmentation read joint rows;
-///   - materialized sampled column values as the "index" into that sample.
+///   - per-column views, the "indexes" queries read instead of rebuilding
+///     per-column state: the sample's values, midranks, mutual-information
+///     bins and midrank moments (ColumnSample), and each KLL sketch's sorted
+///     view (NumericColumnSketch::quantile_view).
 ///
 /// The profile references (does not own) the table it was built from.
 class TableProfile {
@@ -63,6 +88,8 @@ class TableProfile {
   const std::vector<double>& sampled_ranks(size_t column) const;
   /// Sampled dictionary codes of a categorical column (-1 marks null).
   const std::vector<int32_t>& sampled_codes(size_t column) const;
+  /// The whole sample state of any column.
+  const ColumnSample& sample(size_t column) const;
 
   /// Wall-clock seconds spent preprocessing (for E2/E8 reporting).
   double preprocess_seconds() const { return preprocess_seconds_; }
@@ -78,11 +105,12 @@ class TableProfile {
   /// Serializes the full profile (config, row sample, every column's sketch
   /// bundle) to a version-3 JSON document. Preprocessing is the expensive
   /// step; a deployment persists the profile once and serves many sessions
-  /// from it. Derived state is not stored: sampled column values
-  /// re-materialize from the stored row ids against the table at load time,
-  /// and each numeric column's signature and centered projection are derived
-  /// again by BundleBuilder::FinalizeNumeric. The non-null sample midranks
-  /// are the exception, stored because they spare a per-column sort on load.
+  /// from it. Derived state is not stored: the column samples and their
+  /// views re-materialize from the stored row ids against the table at load
+  /// time, and each numeric column's signature, centered projection and
+  /// quantile view are derived again by BundleBuilder::FinalizeNumeric. The
+  /// non-null sample midranks are the exception, stored because they spare
+  /// a per-column sort on load.
   JsonValue ToJson() const;
 
  private:
@@ -94,9 +122,8 @@ class TableProfile {
   std::unordered_map<size_t, NumericColumnSketch> numeric_;
   std::unordered_map<size_t, CategoricalColumnSketch> categorical_;
   std::vector<size_t> sampled_rows_;
-  std::unordered_map<size_t, std::vector<double>> sampled_numeric_;
-  std::unordered_map<size_t, std::vector<double>> sampled_ranks_;
-  std::unordered_map<size_t, std::vector<int32_t>> sampled_codes_;
+  /// Indexed by column.
+  std::vector<ColumnSample> samples_;
   double preprocess_seconds_ = 0.0;
   RandomPanelCache::Stats panel_stats_;
 };
@@ -176,8 +203,7 @@ class Preprocessor {
                                             ThreadPool* pool = nullptr);
 
  private:
-  /// Fills sampled_numeric_/sampled_ranks_/sampled_codes_ from sampled_rows_,
-  /// extracting columns on `pool` (map insertion stays ordered).
+  /// Rebuilds samples_ from sampled_rows_, one column per task on `pool`.
   /// `preset_present_ranks` maps column index -> the non-null sample's
   /// midranks (as persisted under "sample_ranks"); a matching entry replaces
   /// the rank sort for that column, a missing or length-mismatched one falls

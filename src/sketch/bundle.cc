@@ -27,15 +27,17 @@ void NumericColumnSketch::Merge(const NumericColumnSketch& other) {
   if (other.moments.count() == 0 && other.quantiles.count() == 0) return;
   if (moments.count() == 0 && quantiles.count() == 0) {
     *this = other;
-    centered_projection = ProjectionSketch();  // Derived cache; keep stale.
-    return;
+  } else {
+    moments.Merge(other.moments);
+    quantiles.Merge(other.quantiles);
+    hyperplane_acc.Merge(other.hyperplane_acc);
+    projection.Merge(other.projection);
+    projection_ones.Merge(other.projection_ones);
   }
-  moments.Merge(other.moments);
-  quantiles.Merge(other.quantiles);
-  hyperplane_acc.Merge(other.hyperplane_acc);
-  projection.Merge(other.projection);
-  projection_ones.Merge(other.projection_ones);
-  centered_projection = ProjectionSketch();  // Mean changed; cache is stale.
+  // Derived caches: cleared so a stale one is never read (FinalizeNumeric
+  // rebuilds them).
+  centered_projection = ProjectionSketch();
+  quantile_view = KllSortedView();
 }
 
 ProjectionSketch NumericColumnSketch::CenteredProjection() const {
@@ -285,6 +287,7 @@ void BundleBuilder::FinalizeNumeric(NumericColumnSketch& sketch) const {
   sketch.signature = hyperplane_sketcher_.Finalize(sketch.hyperplane_acc,
                                                    sketch.moments.mean());
   sketch.centered_projection = sketch.CenteredProjection();
+  sketch.quantile_view = sketch.quantiles.SortedView();
 }
 
 void BundleBuilder::AccumulateCategorical(const CategoricalColumn& column,

@@ -56,12 +56,17 @@ struct NumericColumnSketch {
   /// pairwise metrics don't re-center per pair. Empty (k() == 0) until
   /// FinalizeNumeric runs; never serialized.
   ProjectionSketch centered_projection;
+  /// Derived cache: `quantiles.SortedView()` built at finalize time, so a
+  /// quantile query is a binary search rather than a sort. Empty until
+  /// FinalizeNumeric runs; never serialized.
+  KllSortedView quantile_view;
 
   /// Projection of the centered column, using the final mean.
   ProjectionSketch CenteredProjection() const;
 
-  /// Merges a sketch of a disjoint row range of the same column. Leaves the
-  /// derived members stale (the mean changes) until FinalizeNumeric.
+  /// Merges a sketch of a disjoint row range of the same column. Clears the
+  /// derived members (the mean and the quantiles change) until
+  /// FinalizeNumeric.
   void Merge(const NumericColumnSketch& other);
 };
 
@@ -173,9 +178,9 @@ class BundleBuilder {
                              size_t row_end,
                              CategoricalColumnSketch& sketch) const;
 
-  /// Derives the signature and the centered projection from the mergeable
-  /// members: the one place finalized state is made, after a build, an
-  /// append merge and a load.
+  /// Derives the signature, the centered projection and the quantile view
+  /// from the mergeable members: the one place finalized state is made,
+  /// after a build, an append merge and a load.
   void FinalizeNumeric(NumericColumnSketch& sketch) const;
 
   /// One-shot: sketch a full column.

@@ -267,8 +267,7 @@ void KllSketch::Merge(const KllSketch& other) {
   }
 }
 
-std::vector<std::pair<double, uint64_t>> KllSketch::SortedWeightedItems()
-    const {
+KllSortedView KllSketch::SortedView() const {
   std::vector<std::pair<double, uint64_t>> items;
   items.reserve(RetainedItems());
   for (size_t l = 0; l < levels_.size(); ++l) {
@@ -276,24 +275,47 @@ std::vector<std::pair<double, uint64_t>> KllSketch::SortedWeightedItems()
     for (double v : levels_[l]) items.emplace_back(v, weight);
   }
   std::sort(items.begin(), items.end());
-  return items;
+  KllSortedView view;
+  view.count_ = count_;
+  view.min_ = min_;
+  view.max_ = max_;
+  view.values_.reserve(items.size());
+  view.cumulative_.reserve(items.size());
+  uint64_t total_weight = 0;
+  double cumulative = 0.0;
+  for (const auto& [value, weight] : items) {
+    total_weight += weight;
+    cumulative += static_cast<double>(weight);
+    view.values_.push_back(value);
+    view.cumulative_.push_back(cumulative);
+  }
+  view.total_weight_ = static_cast<double>(total_weight);
+  return view;
 }
 
-double KllSketch::Quantile(double q) const {
+double KllSortedView::Quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
   if (q <= 0.0) return min_;
   if (q >= 1.0) return max_;
-  auto items = SortedWeightedItems();
-  uint64_t total_weight = 0;
-  for (const auto& [value, weight] : items) total_weight += weight;
-  double target = q * static_cast<double>(total_weight);
-  double cumulative = 0.0;
-  for (const auto& [value, weight] : items) {
-    cumulative += static_cast<double>(weight);
-    if (cumulative >= target) return value;
-  }
-  return max_;
+  // The first item whose running weight reaches the target. No running
+  // weight reaches a NaN target, so NaN q answers max like an exhausted scan.
+  const double target = q * total_weight_;
+  if (std::isnan(target)) return max_;
+  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), target);
+  if (it == cumulative_.end()) return max_;
+  return values_[static_cast<size_t>(it - cumulative_.begin())];
+}
+
+double KllSortedView::Rank(double value) const {
+  if (count_ == 0 || values_.empty() || std::isnan(value)) return 0.0;
+  // Weight of the items <= value. Running weights are sums of powers of two,
+  // exact in a double while the stream holds fewer than 2^53 values.
+  const size_t below = static_cast<size_t>(
+      std::upper_bound(values_.begin(), values_.end(), value) -
+      values_.begin());
+  if (below == 0) return 0.0;
+  return cumulative_[below - 1] / total_weight_;
 }
 
 KllSketch KllSketch::FromRaw(size_t k_param, uint64_t rng_state,
@@ -312,19 +334,6 @@ KllSketch KllSketch::FromRaw(size_t k_param, uint64_t rng_state,
   for (const auto& level : sketch.levels_) sketch.retained_ += level.size();
   sketch.RefreshCapacities();
   return sketch;
-}
-
-double KllSketch::Rank(double value) const {
-  if (count_ == 0) return 0.0;
-  auto items = SortedWeightedItems();
-  uint64_t total_weight = 0;
-  uint64_t below = 0;
-  for (const auto& [item_value, weight] : items) {
-    total_weight += weight;
-    if (item_value <= value) below += weight;
-  }
-  if (total_weight == 0) return 0.0;
-  return static_cast<double>(below) / static_cast<double>(total_weight);
 }
 
 }  // namespace foresight

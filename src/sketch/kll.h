@@ -7,6 +7,37 @@
 
 namespace foresight {
 
+/// A KLL sketch's retained items in ascending order with their cumulative
+/// weights: the form quantile and rank queries read. KllSketch::SortedView
+/// builds it; a finalized NumericColumnSketch keeps one so its queries never
+/// sort. Not serialized: it is a pure function of the sketch.
+class KllSortedView {
+ public:
+  /// Same contracts as KllSketch::Quantile / KllSketch::Rank.
+  double Quantile(double q) const;
+  double Rank(double value) const;
+
+  /// Retained items by value (ties by weight), and the running weight
+  /// through each, summed as doubles in that order.
+  const std::vector<double>& values() const { return values_; }
+  const std::vector<double>& cumulative_weights() const { return cumulative_; }
+
+  size_t MemoryBytes() const {
+    return (values_.capacity() + cumulative_.capacity()) * sizeof(double);
+  }
+
+ private:
+  friend class KllSketch;
+
+  uint64_t count_ = 0;
+  double min_ = 0.0;
+  double max_ = 0.0;
+  /// The integer total weight, converted once.
+  double total_weight_ = 0.0;
+  std::vector<double> values_;
+  std::vector<double> cumulative_;
+};
+
 /// KLL streaming quantile sketch (Karnin, Lang, Liberty 2016) — the paper's
 /// "quantile sketch" (§3). Answers rank/quantile/CDF queries over a numeric
 /// stream with additive rank error eps ~ O(1/k_param), using O(k_param)
@@ -28,10 +59,15 @@ class KllSketch {
   bool empty() const { return count_ == 0; }
 
   /// Estimated value at normalized rank q in [0, 1]. Returns 0 on empty.
-  double Quantile(double q) const;
+  /// Sorts the retained items on every call; repeated queries should build
+  /// SortedView() once.
+  double Quantile(double q) const { return SortedView().Quantile(q); }
 
   /// Estimated normalized rank of `value`: fraction of stream <= value.
-  double Rank(double value) const;
+  double Rank(double value) const { return SortedView().Rank(value); }
+
+  /// The retained items sorted for queries: the one place they are sorted.
+  KllSortedView SortedView() const;
 
   /// Exact minimum / maximum of the stream (tracked separately).
   double min() const { return min_; }
@@ -62,8 +98,6 @@ class KllSketch {
   /// per level) are cached and refreshed only when the level structure
   /// changes; compaction decisions are identical to recomputing them fresh.
   void RefreshCapacities();
-  /// All retained (value, weight) pairs sorted by value.
-  std::vector<std::pair<double, uint64_t>> SortedWeightedItems() const;
 
   size_t k_param_;
   uint64_t rng_state_;

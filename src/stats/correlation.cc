@@ -1,7 +1,10 @@
 #include "stats/correlation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "util/logging.h"
@@ -9,48 +12,112 @@
 
 namespace foresight {
 
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  FORESIGHT_CHECK(x.size() == y.size());
-  size_t n = x.size();
-  if (n < 2) return 0.0;
-  double mean_x = std::accumulate(x.begin(), x.end(), 0.0) / static_cast<double>(n);
-  double mean_y = std::accumulate(y.begin(), y.end(), 0.0) / static_cast<double>(n);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double dx = x[i] - mean_x;
-    double dy = y[i] - mean_y;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
+CenteredMoments ComputeCenteredMoments(const std::vector<double>& x) {
+  FORESIGHT_CHECK(!x.empty());
+  CenteredMoments moments;
+  moments.mean =
+      std::accumulate(x.begin(), x.end(), 0.0) / static_cast<double>(x.size());
+  for (double v : x) {
+    const double d = v - moments.mean;
+    moments.sum_squares += d * d;
   }
+  return moments;
+}
+
+double CenteredCrossProduct(const std::vector<double>& x, double mean_x,
+                            const std::vector<double>& y, double mean_y) {
+  FORESIGHT_CHECK(x.size() == y.size());
+  double sxy = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    sxy += (x[i] - mean_x) * (y[i] - mean_y);
+  }
+  return sxy;
+}
+
+double PearsonFromSums(double sxy, double sxx, double syy) {
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   double rho = sxy / std::sqrt(sxx * syy);
   return std::clamp(rho, -1.0, 1.0);
 }
 
+double PearsonCorrelation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  FORESIGHT_CHECK(x.size() == y.size());
+  if (x.size() < 2) return 0.0;
+  const CenteredMoments mx = ComputeCenteredMoments(x);
+  const CenteredMoments my = ComputeCenteredMoments(y);
+  return PearsonFromSums(CenteredCrossProduct(x, mx.mean, y, my.mean),
+                         mx.sum_squares, my.sum_squares);
+}
+
+namespace {
+
+/// Maps a non-NaN double to a key whose unsigned order is the value order.
+/// -0.0 and +0.0 map to adjacent keys.
+uint64_t OrderedKey(double value) {
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+double FromOrderedKey(uint64_t key) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return std::bit_cast<double>((key & kSign) != 0 ? key & ~kSign : ~key);
+}
+
+}  // namespace
+
 std::vector<double> FractionalRanks(const std::vector<double>& values) {
-  size_t n = values.size();
-  // Sort (value, original index) pairs rather than indices with an indirect
-  // comparator: direct key compares avoid a dependent load per comparison.
-  // Ranks depend only on value-equality groups, never on the order within a
-  // tie group, so the result is bit-identical to the indirect form.
-  std::vector<std::pair<double, size_t>> order;
-  order.reserve(n);
-  for (size_t i = 0; i < n; ++i) order.emplace_back(values[i], i);
-  std::sort(order.begin(), order.end(),
-            [](const std::pair<double, size_t>& a,
-               const std::pair<double, size_t>& b) {
-              return a.first < b.first;
-            });
+  const size_t n = values.size();
+  if (n == 0) return {};
+  FORESIGHT_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  // Stable LSD radix sort of (key, position) pairs, 11 bits a pass. One
+  // sweep builds every pass's histogram, and a pass whose digit is the same
+  // for every key moves nothing, so it is skipped. Ranks depend only on the
+  // tie groups, and those are the same as under any comparison sort.
+  constexpr unsigned kDigitBits = 11;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  constexpr unsigned kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  std::vector<uint64_t> keys(n);
+  std::vector<uint64_t> keys_next(n);
+  std::vector<uint32_t> order(n);
+  std::vector<uint32_t> order_next(n);
+  std::vector<uint32_t> counts(kPasses * kBuckets, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = OrderedKey(values[i]);
+    keys[i] = key;
+    order[i] = static_cast<uint32_t>(i);
+    for (unsigned p = 0; p < kPasses; ++p) {
+      ++counts[p * kBuckets + ((key >> (p * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  for (unsigned p = 0; p < kPasses; ++p) {
+    const unsigned shift = p * kDigitBits;
+    uint32_t* offsets = counts.data() + p * kBuckets;
+    if (offsets[(keys[0] >> shift) & (kBuckets - 1)] == n) continue;
+    uint32_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t count = offsets[b];
+      offsets[b] = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t slot = offsets[(keys[i] >> shift) & (kBuckets - 1)]++;
+      keys_next[slot] = keys[i];
+      order_next[slot] = order[i];
+    }
+    keys.swap(keys_next);
+    order.swap(order_next);
+  }
   std::vector<double> ranks(n);
   size_t i = 0;
   while (i < n) {
+    const double value = FromOrderedKey(keys[i]);
     size_t j = i;
-    while (j + 1 < n && order[j + 1].first == order[i].first) ++j;
+    while (j + 1 < n && FromOrderedKey(keys[j + 1]) == value) ++j;
     // Average rank for the tie group [i, j] (1-based ranks).
     double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (size_t k = i; k <= j; ++k) ranks[order[k].second] = avg_rank;
+    for (size_t k = i; k <= j; ++k) ranks[order[k]] = avg_rank;
     i = j + 1;
   }
   return ranks;

@@ -10,11 +10,32 @@ namespace foresight {
 
 /// Pearson product-moment correlation rho(x, y) (§2.2, insight 6). Inputs
 /// must have equal length; returns 0 for fewer than 2 points or when either
-/// side is constant.
+/// side is constant. Assembled from the three functions below: each of
+/// sxx, syy and sxy is its own sequential sum in index order, so a caller
+/// that keeps one side's CenteredMoments and runs only the cross-product
+/// loop per pair gets the same bits.
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
 
+/// One side of PearsonCorrelation: the mean and the centered sum of squares
+/// sum((x - mean)^2). Requires a non-empty `x`.
+struct CenteredMoments {
+  double mean = 0.0;
+  double sum_squares = 0.0;
+};
+CenteredMoments ComputeCenteredMoments(const std::vector<double>& x);
+
+/// sum((x - mean_x) * (y - mean_y)) in index order over equal-length inputs.
+double CenteredCrossProduct(const std::vector<double>& x, double mean_x,
+                            const std::vector<double>& y, double mean_y);
+
+/// rho = sxy / sqrt(sxx * syy), clamped to [-1, 1]; 0 when either side is
+/// constant (a sum of squares <= 0).
+double PearsonFromSums(double sxy, double sxx, double syy);
+
 /// Fractional ranks with ties averaged (the standard midrank convention).
+/// Values must be NaN-free (callers drop nulls first). Values that compare
+/// equal share a tie group, so -0.0 and +0.0 rank together.
 std::vector<double> FractionalRanks(const std::vector<double>& values);
 
 /// Spearman rank correlation: Pearson over midranks. Captures nonlinear
