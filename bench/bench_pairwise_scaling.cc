@@ -246,10 +246,10 @@ void MeasureWorkload(const Workload& w, bool parallel_probe,
               exhaustive_overview_time.ms(), pruned_overview_time.ms(),
               overview_speedup, sketch_overview_time.ms());
   std::printf("%-18s | preprocess %.1f s; top-k pruned %zu/%zu "
-              "(escalated %zu, unsafe %zu); overview estimated %zu cells\n",
+              "(unsafe %zu); overview estimated %zu cells\n",
               "", preprocess_s, topk_telemetry.pairs_pruned,
-              topk_telemetry.pairs_total, topk_telemetry.pairs_escalated,
-              topk_telemetry.pairs_unsafe, overview_cells_estimated);
+              topk_telemetry.pairs_total, topk_telemetry.pairs_unsafe,
+              overview_cells_estimated);
   // The parallel timing only prints when this machine can substantiate it;
   // it lands in the JSON either way.
   if (parallel_probe && ScalingClaimsValid(kParallelWorkers)) {
@@ -266,7 +266,6 @@ void MeasureWorkload(const Workload& w, bool parallel_probe,
   end_to_end.Set("topk_speedup", topk_speedup);
   end_to_end.Set("topk_pairs_total", topk_telemetry.pairs_total);
   end_to_end.Set("topk_pairs_refined", topk_telemetry.pairs_refined);
-  end_to_end.Set("topk_pairs_escalated", topk_telemetry.pairs_escalated);
   end_to_end.Set("overview_exhaustive_ms", exhaustive_overview_time.ms());
   end_to_end.Set("overview_pruned_ms", pruned_overview_time.ms());
   end_to_end.Set("overview_sketch_ms", sketch_overview_time.ms());

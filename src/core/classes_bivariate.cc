@@ -87,10 +87,10 @@ class LinearRelationshipClass final : public InsightClass {
 
   void EstimateScoreBounds(const TableProfile& profile,
                            const std::vector<AttributeTuple>& tuples,
-                           const std::string& metric, size_t prefix_bits,
-                           double delta,
+                           std::span<const size_t> positions,
+                           const std::string& metric, double delta,
                            std::vector<SketchScoreBound>& bounds) const override {
-    bounds.assign(tuples.size(), SketchScoreBound{});
+    bounds.assign(positions.size(), SketchScoreBound{});
     if (metric != "pearson") return;
     const DataTable& table = profile.table();
 
@@ -116,64 +116,38 @@ class LinearRelationshipClass final : public InsightClass {
       return column_safe[c] == 1;
     };
 
-    // Batch popcounts over maximal runs of tuples sharing their first
-    // column (NumericPairCandidates enumerates pairs in i<j row-major order,
-    // so runs are long), keeping the anchor signature's words hot.
-    std::vector<const BitSignature*> run_signatures;
-    std::vector<uint64_t> run_hamming;
-    size_t t = 0;
-    while (t < tuples.size()) {
-      const size_t anchor = tuples[t].indices[0];
-      size_t run_end = t;
-      while (run_end < tuples.size() &&
-             tuples[run_end].indices.size() == 2 &&
-             tuples[run_end].indices[0] == anchor &&
-             profile.has_numeric_sketch(tuples[run_end].indices[1])) {
-        ++run_end;
-      }
-      if (run_end == t || !profile.has_numeric_sketch(anchor)) {
-        // Malformed tuple or missing sketch: leave the unsafe default.
-        ++t;
+    for (size_t t = 0; t < positions.size(); ++t) {
+      const AttributeTuple& tuple = tuples[positions[t]];
+      // Malformed tuple or missing sketch: leave the unsafe default.
+      if (tuple.indices.size() != 2) continue;
+      const size_t a = tuple.indices[0];
+      const size_t b = tuple.indices[1];
+      if (!profile.has_numeric_sketch(a) || !profile.has_numeric_sketch(b)) {
         continue;
       }
-      const BitSignature& anchor_sig = profile.numeric_sketch(anchor).signature;
-      const size_t k = anchor_sig.num_bits();
-      const size_t bits =
-          (prefix_bits == 0 || prefix_bits > k) ? k : prefix_bits;
-      run_signatures.clear();
-      for (size_t r = t; r < run_end; ++r) {
-        run_signatures.push_back(
-            &profile.numeric_sketch(tuples[r].indices[1]).signature);
-      }
-      run_hamming.resize(run_signatures.size());
-      BitSignature::BatchHammingPrefix(anchor_sig, run_signatures.data(),
-                                       run_signatures.size(), bits,
-                                       run_hamming.data());
-      for (size_t r = t; r < run_end; ++r) {
-        const uint64_t h = run_hamming[r - t];
-        SketchScoreBound& bound = bounds[r];
-        bound.estimate =
-            HyperplaneSketcher::EstimateCorrelationFromHamming(h, bits);
-        const size_t other = tuples[r].indices[1];
-        bound.safe =
-            anchor != other && is_safe_column(anchor) && is_safe_column(other);
-        // Contract (insight_class.h): unsafe bounds stay vacuous [0, 1].
-        // A constant column's all-set signature can agree perfectly with
-        // another's while the exact Pearson is the 0.0 sentinel — a
-        // sketch-derived score_lo here would poison the planner's top-k
-        // threshold.
-        if (!bound.safe) continue;
-        double rho_lo = 0.0, rho_hi = 0.0;
-        HyperplaneSketcher::EstimateCorrelationInterval(h, bits, delta,
-                                                        &rho_lo, &rho_hi);
-        // Score = |rho|: the score interval is the image of [rho_lo, rho_hi]
-        // under |.| — it contains 0 iff the rho interval straddles 0.
-        bound.score_hi = std::max(std::abs(rho_lo), std::abs(rho_hi));
-        bound.score_lo = (rho_lo <= 0.0 && rho_hi >= 0.0)
-                             ? 0.0
-                             : std::min(std::abs(rho_lo), std::abs(rho_hi));
-      }
-      t = run_end;
+      const BitSignature& sig_a = profile.numeric_sketch(a).signature;
+      const BitSignature& sig_b = profile.numeric_sketch(b).signature;
+      const uint64_t h = BitSignature::HammingDistance(sig_a, sig_b);
+      const size_t bits = sig_a.num_bits();
+      SketchScoreBound& bound = bounds[t];
+      bound.estimate =
+          HyperplaneSketcher::EstimateCorrelationFromHamming(h, bits);
+      bound.safe = a != b && is_safe_column(a) && is_safe_column(b);
+      // Contract (insight_class.h): unsafe bounds stay vacuous [0, 1].
+      // A constant column's all-set signature can agree perfectly with
+      // another's while the exact Pearson is the 0.0 sentinel — a
+      // sketch-derived score_lo here would poison the planner's top-k
+      // threshold.
+      if (!bound.safe) continue;
+      double rho_lo = 0.0, rho_hi = 0.0;
+      HyperplaneSketcher::EstimateCorrelationInterval(h, bits, delta, &rho_lo,
+                                                      &rho_hi);
+      // Score = |rho|: the score interval is the image of [rho_lo, rho_hi]
+      // under |.| — it contains 0 iff the rho interval straddles 0.
+      bound.score_hi = std::max(std::abs(rho_lo), std::abs(rho_hi));
+      bound.score_lo = (rho_lo <= 0.0 && rho_hi >= 0.0)
+                           ? 0.0
+                           : std::min(std::abs(rho_lo), std::abs(rho_hi));
     }
   }
 

@@ -44,31 +44,21 @@ bool TupleMatches(const DataTable& table, const AttributeTuple& tuple,
 // ---------------------------------------------------------------------------
 // Sketch-first prune planner (DESIGN.md "Sketch-first pruning").
 //
-// Two-phase estimate → prune → refine: a coarse prefix-bits pass bounds every
-// pair cheaply, pairs provably below the top-k threshold are dropped, the
-// survivors are re-bounded at full sketch precision and filtered again, and
-// only the final survivors reach the exact metric kernels. Pruning is sound
-// per pair with probability >= 1 - kPairDelta: a pair is dropped only when
-// its score UPPER bound falls strictly below a threshold T chosen so that at
-// least top_k other pairs have SAFE score LOWER bounds >= T — so the dropped
-// pair cannot displace any of them from the exact top-k (see the design doc
-// for the full argument, including why max_score disqualifies a query).
-// A pair sees at most two bound computations (coarse pass + full-precision
-// escalation), so each round runs at kPairDelta / 2 and the union bound
-// keeps the total per-pair failure probability <= kPairDelta.
+// Estimate → prune → refine: every planned pair is bounded once from its
+// full sketch signature, pairs provably below the top-k threshold are
+// dropped, and only the survivors reach the exact metric kernels. Pruning is
+// sound per pair with probability >= 1 - kPairDelta: a pair is dropped only
+// when its score UPPER bound falls strictly below a threshold T chosen so
+// that at least top_k other pairs have SAFE score LOWER bounds >= T — so the
+// dropped pair cannot displace any of them from the exact top-k (see the
+// design doc for the full argument, including why max_score disqualifies a
+// query). Each pair's bound is computed exactly once, so kPairDelta is also
+// the per-pair failure probability.
 
-/// Per-pair failure probability budget across BOTH pruning rounds. At 1e-9
-/// even a 10^6-pair workload keeps the any-pair failure probability below
-/// ~1e-3, and the cost is only a ~1.6x wider epsilon than delta = 1e-3.
-constexpr double kPairDelta = 1e-9;
-
-/// What each of the (up to) two rounds actually spends.
-constexpr double kRoundDelta = kPairDelta / 2;
-
-/// Coarse first-pass prefix width (bits). Cheap enough to score every pair,
-/// wide enough (epsilon_p ~ 0.2) to discard clearly-null pairs before the
-/// full-k escalation.
-constexpr size_t kCoarsePrefixBits = 256;
+/// Per-pair failure probability of a score bound. At 5e-10 even a
+/// 10^6-pair workload keeps the any-pair failure probability below ~1e-3,
+/// and the cost is only a ~1.7x wider epsilon than delta = 1e-3.
+constexpr double kPairDelta = 5e-10;
 
 /// Absorbs floating-point rounding between the bound math and the exact
 /// kernels: a pair is pruned only when score_hi + kBoundSlack < T, so ties
@@ -78,122 +68,72 @@ constexpr double kBoundSlack = 1e-9;
 struct PrunePlan {
   /// Tuple indices to evaluate exactly, ascending (enumeration order).
   std::vector<size_t> refine;
-  /// Latest sketch estimate per planned position (full precision for
-  /// survivors of the coarse pass; used by overviews to fill pruned cells).
-  std::vector<double> estimates;
+  /// Sketch bound per planned position; overviews fill pruned cells with
+  /// its estimate.
+  std::vector<SketchScoreBound> bounds;
   std::vector<char> pruned;  ///< Per planned position; 1 = dropped.
   PruneTelemetry telemetry;
 };
 
 /// k-th largest element of `values` (1-based k); -inf when there are fewer
 /// than k values (no threshold contribution).
-double KthLargest(const std::vector<double>& values, size_t k) {
+double KthLargest(std::vector<double> values, size_t k) {
   if (k == 0 || values.size() < k) {
     return -std::numeric_limits<double>::infinity();
   }
-  std::vector<double> copy = values;
-  std::nth_element(copy.begin(), copy.begin() + static_cast<ptrdiff_t>(k - 1),
-                   copy.end(), std::greater<double>());
-  return copy[k - 1];
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<ptrdiff_t>(k - 1),
+                   values.end(), std::greater<double>());
+  return values[k - 1];
 }
 
-/// Plans over the tuples at `positions` (ascending indices into `*tuples`).
-/// EstimateScoreBounds takes a contiguous vector: a round over every tuple
-/// passes `*tuples` itself, and any other round borrows its alive tuples by
-/// move and hands them back, so `*tuples` is unchanged on return and no tuple
-/// is copied.
+/// Plans over the tuples at `positions` (ascending indices into `tuples`).
+/// The threshold is either the caller-fixed score floor (overviews) or the
+/// k-th largest score LOWER bound among SAFE pairs, strengthened by
+/// min_score: every pair it prunes is provably (w.h.p.) outside the exact
+/// top-k. Because the k pairs defining the threshold have
+/// score_hi >= score_lo >= T, they are never pruned themselves.
 PrunePlan PlanPairwisePrune(const InsightClass& insight_class,
                             const TableProfile& profile,
-                            std::vector<AttributeTuple>* tuples,
+                            const std::vector<AttributeTuple>& tuples,
                             std::span<const size_t> positions,
                             const std::string& metric, size_t top_k,
                             std::optional<double> min_score,
-                            std::optional<double> fixed_threshold,
-                            size_t coarse_bits) {
+                            std::optional<double> fixed_threshold) {
   PrunePlan plan;
   const size_t n = positions.size();
-  plan.estimates.assign(n, 0.0);
   plan.pruned.assign(n, 0);
   plan.telemetry.used = true;
   plan.telemetry.pairs_total = n;
+  insight_class.EstimateScoreBounds(profile, tuples, positions, metric,
+                                    kPairDelta, plan.bounds);
 
-  std::vector<SketchScoreBound> bounds;
-  std::vector<AttributeTuple> borrowed;
-
-  // One pruning round over the currently-alive pairs at `prefix_bits`
-  // precision. The threshold is either the caller-fixed score floor
-  // (overviews) or the k-th largest score LOWER bound among alive SAFE
-  // pairs, strengthened by min_score: every pair it prunes is provably
-  // (w.h.p.) outside the exact top-k. Because the k pairs defining the
-  // threshold have score_hi >= score_lo >= T, they are never pruned
-  // themselves — at least top_k pairs always survive, which also keeps the
-  // next round's threshold well-defined.
-  auto prune_round = [&](size_t prefix_bits, bool escalation) {
-    std::vector<size_t> round;  // Planned positions still alive.
-    round.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (!plan.pruned[r]) round.push_back(r);
+  double threshold;
+  if (fixed_threshold.has_value()) {
+    threshold = *fixed_threshold;
+  } else {
+    // Only SAFE lower bounds may raise the threshold: unsafe bounds are
+    // vacuous by contract (insight_class.h), and an unsafe pair's sketch can
+    // agree spuriously (e.g. two constant columns share an all-set signature
+    // while their exact Pearson is the 0.0 sentinel). Since unsafe pairs are
+    // never pruned, excluding them loses no pruning power — it only keeps
+    // the threshold honest.
+    std::vector<double> lows;
+    lows.reserve(n);
+    for (const SketchScoreBound& bound : plan.bounds) {
+      if (bound.safe) lows.push_back(bound.score_lo);
     }
-    if (round.size() == tuples->size()) {
-      insight_class.EstimateScoreBounds(profile, *tuples, metric, prefix_bits,
-                                        kRoundDelta, bounds);
-    } else {
-      borrowed.clear();
-      for (size_t r : round) {
-        borrowed.push_back(std::move((*tuples)[positions[r]]));
-      }
-      insight_class.EstimateScoreBounds(profile, borrowed, metric, prefix_bits,
-                                        kRoundDelta, bounds);
-      for (size_t k = 0; k < round.size(); ++k) {
-        (*tuples)[positions[round[k]]] = std::move(borrowed[k]);
-      }
-    }
-    if (escalation) {
-      plan.telemetry.pairs_escalated = round.size();
-    } else {
-      plan.telemetry.pairs_estimated = round.size();
-      for (const SketchScoreBound& bound : bounds) {
-        if (!bound.safe) ++plan.telemetry.pairs_unsafe;
-      }
-    }
-    double threshold;
-    if (fixed_threshold.has_value()) {
-      threshold = *fixed_threshold;
-    } else {
-      // Only SAFE lower bounds may raise the threshold: unsafe bounds are
-      // vacuous by contract (insight_class.h), and an unsafe pair's sketch
-      // can agree spuriously (e.g. two constant columns share an all-set
-      // signature while their exact Pearson is the 0.0 sentinel). Since
-      // unsafe pairs are never pruned, excluding them loses no pruning
-      // power — it only keeps the threshold honest.
-      std::vector<double> lows;
-      lows.reserve(bounds.size());
-      for (const SketchScoreBound& bound : bounds) {
-        if (bound.safe) lows.push_back(bound.score_lo);
-      }
-      threshold = KthLargest(lows, top_k);
-      if (min_score.has_value()) {
-        threshold = std::max(threshold, *min_score);
-      }
-    }
-    for (size_t k = 0; k < bounds.size(); ++k) {
-      const size_t r = round[k];
-      plan.estimates[r] = bounds[k].estimate;
-      if (bounds[k].safe && bounds[k].score_hi + kBoundSlack < threshold) {
-        plan.pruned[r] = 1;
-      }
-    }
-  };
-
-  prune_round(coarse_bits, /*escalation=*/false);
-  if (coarse_bits != 0) {
-    // Escalate survivors to full sketch precision (prefix_bits = 0), which
-    // tightens both the bounds and the threshold before the exact stage.
-    prune_round(0, /*escalation=*/true);
+    threshold = KthLargest(std::move(lows), top_k);
+    if (min_score.has_value()) threshold = std::max(threshold, *min_score);
   }
-
   for (size_t r = 0; r < n; ++r) {
-    if (!plan.pruned[r]) plan.refine.push_back(positions[r]);
+    const SketchScoreBound& bound = plan.bounds[r];
+    if (!bound.safe) ++plan.telemetry.pairs_unsafe;
+    if (bound.safe && bound.score_hi + kBoundSlack < threshold) {
+      plan.pruned[r] = 1;
+    } else {
+      plan.refine.push_back(positions[r]);
+    }
   }
   plan.telemetry.pairs_refined = plan.refine.size();
   plan.telemetry.pairs_pruned = n - plan.refine.size();
@@ -392,10 +332,6 @@ bool InsightEngine::PruneEligible(const InsightQuery& query,
 
 void InsightEngine::RecordPruneMetrics(const PruneTelemetry& telemetry) const {
   MetricsRegistry& registry = *metrics_;
-  registry.counter("engine.pairwise_estimated_total")
-      .Increment(telemetry.pairs_estimated);
-  registry.counter("engine.pairwise_escalated_total")
-      .Increment(telemetry.pairs_escalated);
   registry.counter("engine.pairwise_pruned_total")
       .Increment(telemetry.pairs_pruned);
   registry.counter("engine.pairwise_refined_total")
@@ -610,9 +546,8 @@ StatusOr<std::vector<InsightQueryResult>> InsightEngine::RunQueries(
         }
         if (collect) prune_timer.Restart();
         PrunePlan plan = PlanPairwisePrune(
-            insight_class, *profile_, &candidates, member.kept, lead.metric,
-            query.top_k, query.min_score, /*fixed_threshold=*/std::nullopt,
-            kCoarsePrefixBits);
+            insight_class, *profile_, candidates, member.kept, lead.metric,
+            query.top_k, query.min_score, /*fixed_threshold=*/std::nullopt);
         if (collect) {
           metrics_->histogram("engine.prune.estimate_ms")
               .Record(prune_timer.ElapsedMillis());
@@ -759,11 +694,9 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
   std::iota(work.begin(), work.end(), size_t{0});
 
   // Sketch-first pruning (exact mode only): cells whose score upper bound is
-  // provably below refine_min_score keep their full-precision sketch
-  // estimate; every cell that could reach the threshold is refined exactly.
-  // Diagonal and null/constant-touched cells are unsafe by contract and
-  // always refine. A single full-precision round (coarse_bits = 0) plans the
-  // whole triangle, so pruned cells carry full-k estimates.
+  // provably below refine_min_score keep their sketch estimate; every cell
+  // that could reach the threshold is refined exactly. Diagonal and
+  // null/constant-touched cells are unsafe by contract and always refine.
   const bool prune = options.refine_min_score > 0.0 &&
                      profile_.has_value() &&
                      resolved_mode == ExecutionMode::kExact &&
@@ -780,10 +713,10 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
     for (size_t c = 0; c < cells.size(); ++c) {
       cell_tuples.push_back(cell_tuple(c));
     }
-    plan = PlanPairwisePrune(*insight_class, *profile_, &cell_tuples, work,
+    plan = PlanPairwisePrune(*insight_class, *profile_, cell_tuples, work,
                              resolved_metric, /*top_k=*/0,
                              /*min_score=*/std::nullopt,
-                             options.refine_min_score, /*coarse_bits=*/0);
+                             options.refine_min_score);
     if (time_prune) {
       metrics_->histogram("engine.prune.estimate_ms")
           .Record(timer.ElapsedMillis());
@@ -806,7 +739,7 @@ StatusOr<CorrelationOverview> InsightEngine::ComputePairwiseOverview(
   for (size_t c = 0; c < cells.size(); ++c) {
     const auto [i, j] = cells[c];
     const bool estimated = prune && plan.pruned[c];
-    const double value = estimated ? plan.estimates[c] : values[c];
+    const double value = estimated ? plan.bounds[c].estimate : values[c];
     overview.matrix[i * d + j] = value;
     overview.matrix[j * d + i] = value;
     if (estimated) {

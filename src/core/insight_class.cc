@@ -15,15 +15,15 @@ StatusOr<double> InsightClass::EvaluateSketch(const TableProfile& profile,
 
 void InsightClass::EstimateScoreBounds(
     const TableProfile& profile, const std::vector<AttributeTuple>& tuples,
-    const std::string& metric, size_t prefix_bits, double delta,
-    std::vector<SketchScoreBound>& bounds) const {
+    std::span<const size_t> positions, const std::string& metric,
+    double delta, std::vector<SketchScoreBound>& bounds) const {
   (void)profile;
+  (void)tuples;
   (void)metric;
-  (void)prefix_bits;
   (void)delta;
   // Default: no bounded estimator — every tuple is unsafe, so a planner
   // consulting this class refines everything exactly.
-  bounds.assign(tuples.size(), SketchScoreBound{});
+  bounds.assign(positions.size(), SketchScoreBound{});
 }
 
 double InsightClass::Score(double raw_value) const {

@@ -2,6 +2,7 @@
 #define FORESIGHT_CORE_INSIGHT_CLASS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,18 +80,17 @@ class InsightClass {
     return false;
   }
 
-  /// Fills `bounds` (resized to tuples.size()) with error-bounded score
-  /// estimates from the profile's sketches. `prefix_bits` is a hint for a
-  /// cheaper coarse pass: use only the first prefix_bits sketch bits (0 or
-  /// anything >= the sketch size means full precision). `delta` is the
-  /// per-tuple failure probability the bounds must honor. Batch-level so
-  /// implementations can amortize per-column work (validity checks, signature
-  /// lookups) across runs of tuples sharing a column. The default marks every
-  /// tuple unsafe, which makes the planner refine everything.
+  /// Fills `bounds` (resized to positions.size()) with error-bounded score
+  /// estimates from the profile's sketches, one per tuple at `positions`
+  /// (indices into `tuples`). `delta` is the per-tuple failure probability
+  /// the bounds must honor. Batch-level so implementations can resolve
+  /// per-column work (validity checks) once per batch instead of once per
+  /// tuple. The default marks every tuple unsafe, which makes the planner
+  /// refine everything.
   virtual void EstimateScoreBounds(const TableProfile& profile,
                                    const std::vector<AttributeTuple>& tuples,
-                                   const std::string& metric,
-                                   size_t prefix_bits, double delta,
+                                   std::span<const size_t> positions,
+                                   const std::string& metric, double delta,
                                    std::vector<SketchScoreBound>& bounds) const;
 
   /// Ranking strength from the raw metric value. Defaults to |raw|.

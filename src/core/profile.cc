@@ -329,7 +329,10 @@ size_t TableProfile::EstimateMemoryBytes() const {
   for (const auto& [col, sketch] : numeric_) {
     bytes += sketch.signature.words().size() * sizeof(uint64_t);
     bytes += sketch.hyperplane_acc.dot.size() * 2 * sizeof(double);
-    bytes += sketch.projection.components().size() * 2 * sizeof(double);
+    bytes += (sketch.projection.components().size() +
+              sketch.projection_ones.components().size() +
+              sketch.centered_projection.components().size()) *
+             sizeof(double);
     bytes += sketch.quantiles.RetainedItems() * sizeof(double);
     bytes += sketch.quantile_view.MemoryBytes();
     bytes += sizeof(RunningMoments);

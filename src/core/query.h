@@ -99,9 +99,7 @@ struct InsightQuery {
 /// the query ran alone or as a batch member.
 struct PruneTelemetry {
   bool used = false;          ///< The estimate→prune→refine pipeline ran.
-  size_t pairs_total = 0;     ///< Candidate pairs the planner considered.
-  size_t pairs_estimated = 0; ///< Pairs scored from sketch signatures.
-  size_t pairs_escalated = 0; ///< Coarse-pass survivors re-scored at full k.
+  size_t pairs_total = 0;     ///< Candidate pairs the planner bounded.
   size_t pairs_pruned = 0;    ///< Pairs whose score upper bound missed top-k.
   size_t pairs_refined = 0;   ///< Pairs evaluated with the exact metric.
   size_t pairs_unsafe = 0;    ///< Pairs with no valid bound (always refined).

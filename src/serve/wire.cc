@@ -33,8 +33,6 @@ JsonValue PruneJson(const PruneTelemetry& prune) {
   JsonValue json = JsonValue::Object();
   json.Set("used", prune.used);
   json.Set("pairs_total", prune.pairs_total);
-  json.Set("pairs_estimated", prune.pairs_estimated);
-  json.Set("pairs_escalated", prune.pairs_escalated);
   json.Set("pairs_pruned", prune.pairs_pruned);
   json.Set("pairs_refined", prune.pairs_refined);
   json.Set("pairs_unsafe", prune.pairs_unsafe);

@@ -52,31 +52,6 @@ uint64_t BitSignature::HammingDistancePrefix(const BitSignature& a,
   return distance;
 }
 
-void BitSignature::BatchHammingPrefix(const BitSignature& a,
-                                      const BitSignature* const* others,
-                                      size_t count, size_t bits,
-                                      uint64_t* out) {
-  FORESIGHT_CHECK(bits <= a.num_bits_);
-  const size_t full_words = bits / 64;
-  const size_t tail = bits % 64;
-  const uint64_t tail_mask = tail > 0 ? (uint64_t{1} << tail) - 1 : 0;
-  const uint64_t* aw = a.words_.data();
-  for (size_t j = 0; j < count; ++j) {
-    const BitSignature& b = *others[j];
-    FORESIGHT_CHECK(b.num_bits_ == a.num_bits_);
-    const uint64_t* bw = b.words_.data();
-    uint64_t distance = 0;
-    for (size_t w = 0; w < full_words; ++w) {
-      distance += static_cast<uint64_t>(std::popcount(aw[w] ^ bw[w]));
-    }
-    if (tail > 0) {
-      distance += static_cast<uint64_t>(
-          std::popcount((aw[full_words] ^ bw[full_words]) & tail_mask));
-    }
-    out[j] = distance;
-  }
-}
-
 void HyperplaneAccumulator::Merge(const HyperplaneAccumulator& other) {
   if (other.dot.empty()) return;
   if (dot.empty()) {

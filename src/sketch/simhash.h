@@ -39,15 +39,6 @@ class BitSignature {
   static uint64_t HammingDistancePrefix(const BitSignature& a,
                                         const BitSignature& b, size_t bits);
 
-  /// Batched prefix Hamming: out[j] = HammingDistancePrefix(a, *others[j],
-  /// bits) for j < count. One word-at-a-time popcount sweep per signature
-  /// with `a`'s words hot in registers/L1 — the estimate pass of the
-  /// sketch-first prune planner scores an entire run of pairs sharing their
-  /// first column with a single call (DESIGN.md "Sketch-first pruning").
-  static void BatchHammingPrefix(const BitSignature& a,
-                                 const BitSignature* const* others,
-                                 size_t count, size_t bits, uint64_t* out);
-
  private:
   size_t num_bits_ = 0;
   std::vector<uint64_t> words_;
@@ -117,8 +108,8 @@ class HyperplaneSketcher {
                                           const BitSignature& b, size_t bits);
 
   /// The same estimator from a precomputed Hamming distance over `bits`
-  /// hyperplanes — the batched-popcount path (BatchHammingPrefix) uses this
-  /// so each pair's bits are counted exactly once.
+  /// hyperplanes — the prune planner uses this so each pair's bits are
+  /// counted exactly once for both the estimate and its interval.
   static double EstimateCorrelationFromHamming(uint64_t hamming, size_t bits);
 
   /// Hoeffding deviation bound on the Hamming FRACTION p = H/k: with

@@ -1,105 +1,12 @@
 #include "stats/clustering.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 
 #include "util/logging.h"
-#include "util/random.h"
 
 namespace foresight {
-
-namespace {
-
-double SquaredDistance(const Point2& a, const Point2& b) {
-  double dx = a.x - b.x;
-  double dy = a.y - b.y;
-  return dx * dx + dy * dy;
-}
-
-}  // namespace
-
-KMeansResult KMeans(const std::vector<Point2>& points, size_t k, uint64_t seed,
-                    size_t max_iterations) {
-  KMeansResult result;
-  if (points.empty() || k == 0) return result;
-  k = std::min(k, points.size());
-  Rng rng(seed);
-
-  // k-means++ seeding.
-  result.centroids.push_back(points[rng.UniformInt(points.size())]);
-  std::vector<double> min_dist(points.size(),
-                               std::numeric_limits<double>::max());
-  while (result.centroids.size() < k) {
-    double total = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      min_dist[i] = std::min(min_dist[i],
-                             SquaredDistance(points[i], result.centroids.back()));
-      total += min_dist[i];
-    }
-    if (total <= 0.0) {
-      // All remaining points coincide with centroids; duplicate one.
-      result.centroids.push_back(points[rng.UniformInt(points.size())]);
-      continue;
-    }
-    double target = rng.UniformDouble() * total;
-    double cumulative = 0.0;
-    size_t chosen = points.size() - 1;
-    for (size_t i = 0; i < points.size(); ++i) {
-      cumulative += min_dist[i];
-      if (cumulative >= target) {
-        chosen = i;
-        break;
-      }
-    }
-    result.centroids.push_back(points[chosen]);
-  }
-
-  result.labels.assign(points.size(), 0);
-  for (size_t iter = 0; iter < max_iterations; ++iter) {
-    bool changed = false;
-    // Assignment step.
-    for (size_t i = 0; i < points.size(); ++i) {
-      int32_t best = 0;
-      double best_dist = std::numeric_limits<double>::max();
-      for (size_t c = 0; c < result.centroids.size(); ++c) {
-        double d = SquaredDistance(points[i], result.centroids[c]);
-        if (d < best_dist) {
-          best_dist = d;
-          best = static_cast<int32_t>(c);
-        }
-      }
-      if (result.labels[i] != best) {
-        result.labels[i] = best;
-        changed = true;
-      }
-    }
-    result.iterations = iter + 1;
-    if (!changed && iter > 0) break;
-    // Update step.
-    std::vector<Point2> sums(k, Point2{});
-    std::vector<size_t> counts(k, 0);
-    for (size_t i = 0; i < points.size(); ++i) {
-      sums[static_cast<size_t>(result.labels[i])].x += points[i].x;
-      sums[static_cast<size_t>(result.labels[i])].y += points[i].y;
-      ++counts[static_cast<size_t>(result.labels[i])];
-    }
-    for (size_t c = 0; c < k; ++c) {
-      if (counts[c] > 0) {
-        result.centroids[c] = {sums[c].x / static_cast<double>(counts[c]),
-                               sums[c].y / static_cast<double>(counts[c])};
-      }
-    }
-  }
-
-  result.inertia = 0.0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    result.inertia += SquaredDistance(
-        points[i], result.centroids[static_cast<size_t>(result.labels[i])]);
-  }
-  return result;
-}
 
 namespace {
 

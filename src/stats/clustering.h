@@ -14,19 +14,6 @@ struct Point2 {
   double y = 0.0;
 };
 
-/// Result of Lloyd's k-means over 2-D points.
-struct KMeansResult {
-  std::vector<Point2> centroids;
-  std::vector<int32_t> labels;       ///< Cluster id per input point.
-  double inertia = 0.0;              ///< Sum of squared distances to centroid.
-  size_t iterations = 0;
-};
-
-/// Lloyd's algorithm with k-means++ seeding; deterministic given `seed`.
-/// `k` is clamped to the number of points.
-KMeansResult KMeans(const std::vector<Point2>& points, size_t k,
-                    uint64_t seed = 42, size_t max_iterations = 50);
-
 /// Fraction of total (x, y) variance explained by the grouping (a 2-D
 /// between/total sum-of-squares ratio), in [0, 1]. This is the segmentation
 /// insight's ranking metric: 1 means groups are perfectly separated point

@@ -7,11 +7,9 @@
 
 namespace foresight {
 
-/// Measures of "general statistical dependence" (one of the paper's
-/// additional insights), covering every attribute-type pairing:
-///   numeric x numeric      -> binned normalized mutual information
-///   categorical x categorical -> Cramér's V
-///   numeric x categorical  -> correlation ratio eta^2
+/// The "general statistical dependence" measure (one of the paper's
+/// additional insights) over numeric x numeric pairs: binned normalized
+/// mutual information.
 
 /// Bins per side of the mutual-information histograms.
 inline constexpr size_t kMutualInformationBins = 16;
@@ -31,33 +29,19 @@ struct EquiWidthBinning {
 EquiWidthBinning BinEquiWidth(const std::vector<double>& values,
                               size_t bins = kMutualInformationBins);
 
-/// Mutual information (nats) between two equal-length numeric vectors after
-/// equi-width binning into `bins` x `bins` cells.
-double BinnedMutualInformation(const std::vector<double>& x,
-                               const std::vector<double>& y,
-                               size_t bins = kMutualInformationBins);
+/// Mutual information (nats) of the joint bins x bins histogram of two
+/// binned sides of equal size and bin count.
+double MutualInformationFromBins(const EquiWidthBinning& x,
+                                 const EquiWidthBinning& y);
 
 /// MI normalized by sqrt(Hx * Hy), in [0, 1]; 0 when either marginal entropy
-/// vanishes.
+/// vanishes. The vector form bins both equal-length inputs and calls the
+/// binned one.
 double NormalizedMutualInformation(const std::vector<double>& x,
                                    const std::vector<double>& y,
                                    size_t bins = kMutualInformationBins);
-
-/// The same two estimators over already-binned sides of equal size and bin
-/// count: the vector forms above bin both inputs and call these.
-double MutualInformationFromBins(const EquiWidthBinning& x,
-                                 const EquiWidthBinning& y);
 double NormalizedMutualInformationFromBins(const EquiWidthBinning& x,
                                            const EquiWidthBinning& y);
-
-/// Cramér's V in [0, 1] over two code vectors (codes need not be dense;
-/// negative codes mean missing and such rows are skipped pairwise).
-double CramersV(const std::vector<int32_t>& x, const std::vector<int32_t>& y);
-
-/// Correlation ratio eta^2 in [0, 1]: fraction of the variance of `values`
-/// explained by the grouping `codes` (rows with negative codes are skipped).
-double CorrelationRatio(const std::vector<double>& values,
-                        const std::vector<int32_t>& codes);
 
 }  // namespace foresight
 

@@ -27,11 +27,6 @@ double Median(std::vector<double> values) {
   return ExactQuantile(std::move(values), 0.5);
 }
 
-double InterquartileRange(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return SortedQuantile(values, 0.75) - SortedQuantile(values, 0.25);
-}
-
 BoxPlotStats ComputeBoxPlotStats(const std::vector<double>& values) {
   BoxPlotStats stats;
   if (values.empty()) return stats;

@@ -17,9 +17,6 @@ double SortedQuantile(const std::vector<double>& sorted, double q);
 /// Median shortcut.
 double Median(std::vector<double> values);
 
-/// Interquartile range q3 - q1.
-double InterquartileRange(std::vector<double> values);
-
 /// Five-number summary plus Tukey whiskers and outliers, as drawn by a
 /// box-and-whisker plot (the paper's visualization for the Outliers insight).
 struct BoxPlotStats {

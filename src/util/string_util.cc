@@ -9,18 +9,6 @@
 
 namespace foresight {
 
-std::vector<std::string> Split(std::string_view input, char delimiter) {
-  std::vector<std::string> result;
-  size_t start = 0;
-  for (size_t i = 0; i <= input.size(); ++i) {
-    if (i == input.size() || input[i] == delimiter) {
-      result.emplace_back(input.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return result;
-}
-
 std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
@@ -31,16 +19,6 @@ std::string_view Trim(std::string_view input) {
     --end;
   }
   return input.substr(begin, end - begin);
-}
-
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view separator) {
-  std::string result;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) result.append(separator);
-    result.append(parts[i]);
-  }
-  return result;
 }
 
 std::optional<double> ParseDouble(std::string_view input) {
@@ -85,17 +63,6 @@ bool IsMissingToken(std::string_view value) {
   std::string lower = ToLower(Trim(value));
   return lower.empty() || lower == "na" || lower == "n/a" || lower == "nan" ||
          lower == "null" || lower == "none" || lower == "?";
-}
-
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::string ToLower(std::string_view input) {

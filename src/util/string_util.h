@@ -5,19 +5,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace foresight {
 
-/// Splits `input` on `delimiter`, keeping empty fields ("a,,b" -> 3 fields).
-std::vector<std::string> Split(std::string_view input, char delimiter);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view input);
-
-/// Joins `parts` with `separator`.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view separator);
 
 /// Strict double parse: the whole (trimmed) string must be a finite or
 /// infinite numeric literal. Returns nullopt for empty or non-numeric input.
@@ -37,9 +29,6 @@ bool ParseSizeFlag(std::string_view arg, std::string_view prefix, size_t* out,
 /// True if `value` case-insensitively equals one of the conventional CSV
 /// missing-value markers: "", "na", "n/a", "nan", "null", "none", "?".
 bool IsMissingToken(std::string_view value);
-
-/// Case-insensitive ASCII equality.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view input);

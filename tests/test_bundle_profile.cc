@@ -144,6 +144,29 @@ TEST(PreprocessorTest, ProfilesEveryColumn) {
   EXPECT_GT(profile->EstimateMemoryBytes(), 0u);
 }
 
+TEST(PreprocessorTest, MemoryEstimateCountsEveryProjection) {
+  // Each numeric column keeps three projection_dims vectors: the projection,
+  // its ones projection and the centered view FinalizeNumeric builds. The
+  // registry's byte budget reads this estimate, so widening the projection
+  // by `delta` dims must grow it by 3 * delta doubles per numeric column.
+  DataTable table = MakeOecdLike(2000, 7);
+  PreprocessOptions options;
+  options.sketch = SmallConfig();
+  auto base = Preprocessor::Profile(table, options);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  constexpr size_t kDelta = 16;
+  options.sketch.projection_dims += kDelta;
+  auto wider = Preprocessor::Profile(table, options);
+  ASSERT_TRUE(wider.ok()) << wider.status().ToString();
+  size_t numeric = 0;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (table.column(c).type() == ColumnType::kNumeric) ++numeric;
+  }
+  ASSERT_GT(numeric, 0u);
+  EXPECT_EQ(wider->EstimateMemoryBytes() - base->EstimateMemoryBytes(),
+            numeric * 3 * kDelta * sizeof(double));
+}
+
 TEST(PreprocessorTest, RowSampleIsSortedUniqueAndComplete) {
   DataTable table = MakeOecdLike(5000, 8);
   PreprocessOptions options;

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,8 +70,8 @@ void ExpectSameRanking(const InsightQueryResult& pruned,
 }
 
 /// Telemetry invariants: the pruned result reports the full considered count
-/// (comparable with exhaustive runs) and every considered pair is accounted
-/// for as either pruned or refined.
+/// (comparable with exhaustive runs), every considered pair is accounted for
+/// as either pruned or refined, and unsafe pairs are refined.
 void ExpectTelemetryConsistent(const InsightQueryResult& pruned,
                                const InsightQueryResult& exhaustive) {
   const PruneTelemetry& t = pruned.prune;
@@ -80,7 +81,8 @@ void ExpectTelemetryConsistent(const InsightQueryResult& pruned,
   EXPECT_EQ(t.pairs_total, exhaustive.candidates_evaluated);
   EXPECT_EQ(t.pairs_pruned + t.pairs_refined, t.pairs_total);
   EXPECT_GE(t.pairs_refined, pruned.insights.size());
-  EXPECT_GE(t.pairs_estimated, t.pairs_total - t.pairs_unsafe);
+  // Unsafe pairs have no valid bound, so the planner always refines them.
+  EXPECT_LE(t.pairs_unsafe, t.pairs_refined);
 }
 
 TEST(PairwisePruneTest, TopKBitIdenticalAcrossSeeds) {
@@ -115,6 +117,37 @@ TEST(PairwisePruneTest, WorkerCountsPreserveEquivalence) {
     ExpectSameRanking(*pruned, *exhaustive);
     ExpectTelemetryConsistent(*pruned, *exhaustive);
     EXPECT_GT(pruned->prune.pairs_pruned, 0u) << "workers " << workers;
+  }
+}
+
+TEST(PairwisePruneTest, AutoWidthPrunesAndStaysBitIdentical) {
+  // The width production serves: hyperplane_bits = 0 resolves to 256 bits at
+  // 20k rows and 320 bits at 70k. Those bounds are wide, so the blocks are
+  // near-collinear (rho = 0.98) for the planner to separate them from the
+  // cross-block pairs, with and without a fixed attribute.
+  for (auto [rows, bits] : {std::pair<size_t, size_t>{20000, 256},
+                            std::pair<size_t, size_t>{70000, 320}}) {
+    DataTable table = MakeCorrelatedBlocks(rows, 16, 4, 0.98, 7);
+    EngineOptions options;
+    options.num_workers = 1;
+    auto engine = InsightEngine::Create(table, std::move(options));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_EQ(engine->profile().numeric_sketch(0).signature.num_bits(), bits);
+    for (size_t k : {size_t{1}, size_t{3}}) {
+      for (bool fixed : {false, true}) {
+        SCOPED_TRACE("rows " + std::to_string(rows) + " top-" +
+                     std::to_string(k) + (fixed ? " fixed" : ""));
+        InsightQuery query = ExactTopK(k);
+        if (fixed) query.fixed_attributes = {table.column_name(5)};
+        auto exhaustive = ExecuteExhaustive(table, query);
+        ASSERT_TRUE(exhaustive.ok()) << exhaustive.status().ToString();
+        auto pruned = engine->Execute(query);
+        ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+        ExpectSameRanking(*pruned, *exhaustive);
+        ExpectTelemetryConsistent(*pruned, *exhaustive);
+        EXPECT_GT(pruned->prune.pairs_pruned, 0u);
+      }
+    }
   }
 }
 

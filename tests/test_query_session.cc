@@ -33,8 +33,6 @@ void ExpectSamePayload(const InsightQueryResult& a, const InsightQueryResult& b,
   EXPECT_EQ(a.mode_used, b.mode_used) << label;
   EXPECT_EQ(a.prune.used, b.prune.used) << label;
   EXPECT_EQ(a.prune.pairs_total, b.prune.pairs_total) << label;
-  EXPECT_EQ(a.prune.pairs_estimated, b.prune.pairs_estimated) << label;
-  EXPECT_EQ(a.prune.pairs_escalated, b.prune.pairs_escalated) << label;
   EXPECT_EQ(a.prune.pairs_pruned, b.prune.pairs_pruned) << label;
   EXPECT_EQ(a.prune.pairs_refined, b.prune.pairs_refined) << label;
   EXPECT_EQ(a.prune.pairs_unsafe, b.prune.pairs_unsafe) << label;

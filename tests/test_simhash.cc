@@ -160,54 +160,37 @@ TEST(PrefixEstimateTest, PrefixAgreesWithFreshSmallerSketcher) {
   // The first k bits of a K-bit signature must BE the k-bit signature: the
   // per-row hyperplane components are drawn sequentially from the same
   // (seed, row) stream, so a fresh sketcher with smaller k reproduces the
-  // prefix exactly. This is what lets the prune planner sweep precision
-  // without re-sketching.
+  // prefix exactly. This is what lets E1 sweep precision without
+  // re-sketching. Widths 1, 63, 65 and 100 end inside a word, so the
+  // prefix distance must mask off the bits past `bits` in its last word.
   CorrelatedPair pair = MakeGaussianPair(2000, 0.4, 9);
   double mean_x = MomentsOf(pair.x).mean();
   double mean_y = MomentsOf(pair.y).mean();
-  HyperplaneSketcher big(1024, 77), small(192, 77);
+  HyperplaneSketcher big(1024, 77);
   BitSignature ax = big.Sketch(pair.x, mean_x);
   BitSignature ay = big.Sketch(pair.y, mean_y);
-  BitSignature bx = small.Sketch(pair.x, mean_x);
-  BitSignature by = small.Sketch(pair.y, mean_y);
-  for (size_t i = 0; i < 192; ++i) {
-    ASSERT_EQ(ax.bit(i), bx.bit(i)) << i;
-    ASSERT_EQ(ay.bit(i), by.bit(i)) << i;
+  for (size_t bits : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                      size_t{100}, size_t{192}}) {
+    HyperplaneSketcher small(bits, 77);
+    BitSignature bx = small.Sketch(pair.x, mean_x);
+    BitSignature by = small.Sketch(pair.y, mean_y);
+    for (size_t i = 0; i < bits; ++i) {
+      ASSERT_EQ(ax.bit(i), bx.bit(i)) << "bits=" << bits << " i=" << i;
+      ASSERT_EQ(ay.bit(i), by.bit(i)) << "bits=" << bits << " i=" << i;
+    }
+    EXPECT_EQ(BitSignature::HammingDistancePrefix(ax, ay, bits),
+              BitSignature::HammingDistance(bx, by))
+        << "bits=" << bits;
+    EXPECT_DOUBLE_EQ(
+        HyperplaneSketcher::EstimateCorrelationPrefix(ax, ay, bits),
+        HyperplaneSketcher::EstimateCorrelation(bx, by))
+        << "bits=" << bits;
   }
-  EXPECT_EQ(BitSignature::HammingDistancePrefix(ax, ay, 192),
-            BitSignature::HammingDistance(bx, by));
-  EXPECT_DOUBLE_EQ(HyperplaneSketcher::EstimateCorrelationPrefix(ax, ay, 192),
-                   HyperplaneSketcher::EstimateCorrelation(bx, by));
   // Full-width prefix degenerates to the plain estimator.
+  EXPECT_EQ(BitSignature::HammingDistancePrefix(ax, ay, 1024),
+            BitSignature::HammingDistance(ax, ay));
   EXPECT_DOUBLE_EQ(HyperplaneSketcher::EstimateCorrelationPrefix(ax, ay, 1024),
                    HyperplaneSketcher::EstimateCorrelation(ax, ay));
-}
-
-TEST(PrefixEstimateTest, BatchHammingPrefixMatchesScalar) {
-  // The planner's batched popcount path must agree with the scalar prefix
-  // distance for every signature and every prefix width, including tails
-  // that straddle word boundaries.
-  constexpr size_t kBits = 256;
-  HyperplaneSketcher sketcher(kBits, 13);
-  std::vector<BitSignature> signatures;
-  for (uint64_t s = 0; s < 7; ++s) {
-    CorrelatedPair pair =
-        MakeGaussianPair(500, -0.8 + 0.25 * static_cast<double>(s), 40 + s);
-    signatures.push_back(sketcher.Sketch(pair.x, MomentsOf(pair.x).mean()));
-  }
-  std::vector<const BitSignature*> others;
-  for (size_t j = 1; j < signatures.size(); ++j) others.push_back(&signatures[j]);
-  for (size_t bits : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                      size_t{100}, size_t{255}, kBits}) {
-    std::vector<uint64_t> batch(others.size());
-    BitSignature::BatchHammingPrefix(signatures[0], others.data(),
-                                     others.size(), bits, batch.data());
-    for (size_t j = 0; j < others.size(); ++j) {
-      EXPECT_EQ(batch[j], BitSignature::HammingDistancePrefix(
-                              signatures[0], *others[j], bits))
-          << "bits=" << bits << " j=" << j;
-    }
-  }
 }
 
 TEST(PrefixEstimateTest, ErrorShrinksWithPrefixWidth) {

@@ -48,12 +48,6 @@ TEST(StatusOrTest, HoldsError) {
   StatusOr<int> result(Status::NotFound("missing"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(result.value_or(-1), -1);
-}
-
-TEST(StatusOrTest, ValueOrReturnsValueOnSuccess) {
-  StatusOr<int> result(7);
-  EXPECT_EQ(result.value_or(-1), 7);
 }
 
 TEST(StatusOrTest, MoveOutValue) {

@@ -5,25 +5,12 @@
 namespace foresight {
 namespace {
 
-TEST(SplitTest, SplitsAndKeepsEmptyFields) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
-}
-
 TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("  abc \t\n"), "abc");
   EXPECT_EQ(Trim("abc"), "abc");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim(" a b "), "a b");
-}
-
-TEST(JoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
 }
 
 TEST(ParseDoubleTest, ParsesValidNumbers) {
@@ -89,12 +76,6 @@ TEST(IsMissingTokenTest, RecognizesConventionalMarkers) {
   EXPECT_FALSE(IsMissingToken("0"));
   EXPECT_FALSE(IsMissingToken("nap"));
   EXPECT_FALSE(IsMissingToken("value"));
-}
-
-TEST(EqualsIgnoreCaseTest, ComparesAsciiCaseInsensitively) {
-  EXPECT_TRUE(EqualsIgnoreCase("AbC", "abc"));
-  EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
-  EXPECT_FALSE(EqualsIgnoreCase("abc", "ab"));
 }
 
 TEST(FormatDoubleTest, ProducesCompactRepresentation) {
