@@ -40,7 +40,7 @@ CategoricalColumn::CategoricalColumn(const std::vector<std::string>& values) {
 }
 
 void CategoricalColumn::Append(std::string_view value) {
-  auto it = dictionary_index_.find(std::string(value));
+  auto it = dictionary_index_.find(value);
   int32_t code;
   if (it == dictionary_index_.end()) {
     code = static_cast<int32_t>(dictionary_.size());

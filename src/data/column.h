@@ -2,6 +2,7 @@
 #define FORESIGHT_DATA_COLUMN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -156,9 +157,19 @@ class CategoricalColumn final : public Column {
   static constexpr int32_t kNullCode = -1;
 
  private:
+  /// Hashes std::string and std::string_view alike, so that Append looks a
+  /// value up without building a temporary string.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view value) const {
+      return std::hash<std::string_view>{}(value);
+    }
+  };
+
   std::vector<int32_t> codes_;
   std::vector<std::string> dictionary_;
-  std::unordered_map<std::string, int32_t> dictionary_index_;
+  std::unordered_map<std::string, int32_t, StringHash, std::equal_to<>>
+      dictionary_index_;
 };
 
 }  // namespace foresight

@@ -28,6 +28,11 @@ struct CsvOptions {
 ///   nulls.
 /// - A column is numeric iff every non-missing token parses as a double;
 ///   otherwise it is categorical.
+///
+/// One pass over the text parses each field once, straight into its column.
+/// A column that meets a non-numeric token turns categorical from that row
+/// on; its earlier rows are re-read afterwards, in at most one more pass for
+/// all such columns together.
 class CsvReader {
  public:
   /// Parses CSV text into a table.
@@ -39,8 +44,14 @@ class CsvReader {
                                       const CsvOptions& options = {});
 };
 
-/// CSV writer, the inverse of CsvReader: nulls are written as empty fields,
-/// fields containing the delimiter, quotes or newlines are quoted.
+/// CSV writer: nulls are written as empty fields, fields containing the
+/// delimiter, quotes or newlines are quoted, numbers with 17 significant
+/// digits. Reading the output back with the same options keeps the shape,
+/// keeps nulls null, and keeps the bits of each value in a column that reads
+/// back numeric. It is not an exact inverse of CsvReader: a categorical "NA"
+/// (or any missing marker) reads back as null, " padded " reads back
+/// trimmed, and a categorical column whose values all parse as numbers
+/// ("1", "2", "3") reads back numeric.
 class CsvWriter {
  public:
   static std::string WriteString(const DataTable& table,

@@ -60,17 +60,17 @@ bool ParseSizeFlag(std::string_view arg, std::string_view prefix, size_t* out,
 }
 
 bool IsMissingToken(std::string_view value) {
-  std::string lower = ToLower(Trim(value));
+  const std::string_view trimmed = Trim(value);
+  // No marker is longer than 4 bytes, so lower-case into a fixed buffer.
+  if (trimmed.size() > 4) return false;
+  char buffer[4];
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    const char c = trimmed[i];
+    buffer[i] = c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  }
+  const std::string_view lower(buffer, trimmed.size());
   return lower.empty() || lower == "na" || lower == "n/a" || lower == "nan" ||
          lower == "null" || lower == "none" || lower == "?";
-}
-
-std::string ToLower(std::string_view input) {
-  std::string result(input);
-  for (char& c : result) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return result;
 }
 
 std::string FormatDouble(double value, int precision) {

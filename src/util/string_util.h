@@ -30,9 +30,6 @@ bool ParseSizeFlag(std::string_view arg, std::string_view prefix, size_t* out,
 /// missing-value markers: "", "na", "n/a", "nan", "null", "none", "?".
 bool IsMissingToken(std::string_view value);
 
-/// Lower-cases ASCII letters.
-std::string ToLower(std::string_view input);
-
 /// Formats a double compactly with up to `precision` significant digits
 /// ("0.5", "1.25e-06"); never produces locale-dependent separators.
 std::string FormatDouble(double value, int precision = 6);

@@ -1,3 +1,8 @@
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/column.h"
@@ -73,6 +78,42 @@ TEST(CategoricalColumnTest, DictionaryEncoding) {
   EXPECT_EQ(col.code(3), CategoricalColumn::kNullCode);
   EXPECT_EQ(col.value(0), "red");
   EXPECT_EQ(col.dictionary_value(col.code(1)), "blue");
+}
+
+TEST(CategoricalColumnTest, AppendsViewsIntoALargerBuffer) {
+  // Values past the 15-byte small-string limit, passed as views that are not
+  // NUL-terminated and overlap: the dictionary must copy them, and look them
+  // up by their bytes alone.
+  std::string buffer =
+      "long_category_value_alpha|long_category_value_alpha_beta|";
+  const std::string_view alpha(buffer.data(), 25);
+  const std::string_view alpha_beta(buffer.data() + 26, 30);
+  ASSERT_EQ(alpha, "long_category_value_alpha");
+  ASSERT_EQ(alpha_beta, "long_category_value_alpha_beta");
+  const std::string_view alpha_prefix(buffer.data() + 26, 25);
+
+  CategoricalColumn col;
+  col.Append(alpha_beta);
+  col.Append(alpha);
+  col.Append(alpha_prefix);
+  col.AppendNull();
+  col.Append(alpha_beta);
+  EXPECT_EQ(col.dictionary(),
+            (std::vector<std::string>{"long_category_value_alpha_beta",
+                                      "long_category_value_alpha"}));
+  EXPECT_EQ(col.codes(), (std::vector<int32_t>{0, 1, 1,
+                                               CategoricalColumn::kNullCode,
+                                               0}));
+
+  // The dictionary owns its entries: rewriting the buffer changes nothing,
+  // and a clone still finds existing values.
+  buffer.assign(buffer.size(), 'x');
+  EXPECT_EQ(col.value(0), "long_category_value_alpha_beta");
+  std::unique_ptr<Column> clone = col.Clone();
+  auto& copy = static_cast<CategoricalColumn&>(*clone);
+  copy.Append(std::string_view("long_category_value_alpha"));
+  EXPECT_EQ(copy.cardinality(), 2u);
+  EXPECT_EQ(copy.code(5), 1);
 }
 
 TEST(DataTableTest, AddColumnsAndLookup) {

@@ -78,6 +78,31 @@ TEST(IsMissingTokenTest, RecognizesConventionalMarkers) {
   EXPECT_FALSE(IsMissingToken("value"));
 }
 
+TEST(IsMissingTokenTest, FoldsCaseAndTrimsWithoutNearMisses) {
+  EXPECT_TRUE(IsMissingToken("nA"));
+  EXPECT_TRUE(IsMissingToken("N/a"));
+  EXPECT_TRUE(IsMissingToken("nUlL"));
+  EXPECT_TRUE(IsMissingToken("NoNe"));
+  EXPECT_TRUE(IsMissingToken("nAn"));
+  EXPECT_TRUE(IsMissingToken(" \t NA \r\n"));
+  EXPECT_TRUE(IsMissingToken("  ?  "));
+  // One byte past the longest marker, and markers with a byte more or less.
+  EXPECT_FALSE(IsMissingToken("nulls"));
+  EXPECT_FALSE(IsMissingToken("nones"));
+  EXPECT_FALSE(IsMissingToken("NULLS"));
+  EXPECT_FALSE(IsMissingToken("n"));
+  EXPECT_FALSE(IsMissingToken("nul"));
+  EXPECT_FALSE(IsMissingToken("n a"));
+  EXPECT_FALSE(IsMissingToken("??"));
+  EXPECT_FALSE(IsMissingToken("  none none  "));
+  // Bytes outside ASCII are compared as they are, never case-folded.
+  EXPECT_FALSE(IsMissingToken("\xC3\x91" "A"));
+  EXPECT_FALSE(IsMissingToken("N\xC1"));
+  EXPECT_FALSE(IsMissingToken("\xCE\xC1"));
+  EXPECT_FALSE(IsMissingToken("\xFF"));
+  EXPECT_FALSE(IsMissingToken(std::string_view("na\0", 3)));
+}
+
 TEST(FormatDoubleTest, ProducesCompactRepresentation) {
   EXPECT_EQ(FormatDouble(0.5), "0.5");
   EXPECT_EQ(FormatDouble(100.0), "100");
